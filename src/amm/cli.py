@@ -145,6 +145,7 @@ def _item_from_config(entry: dict, position: int) -> verify.SuiteItem:
         raise ParameterError(f"config entry {position} lacks an id") from exc
     if check_id not in verify.REGISTRY:
         raise ParameterError(f"unknown check id {check_id!r} in config entry {position}")
+    f = g = phi = norm = None
     try:
         spec = EnsembleSpec(
             dim=int(entry["dim"]),
@@ -154,24 +155,23 @@ def _item_from_config(entry: dict, position: int) -> verify.SuiteItem:
             count=int(entry.get("count", 200)),
             seed=int(entry.get("seed", verify.DEFAULT_SEED)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParameterError(f"config entry {position} ({check_id}): {exc}") from exc
-    f = g = phi = norm = None
-    if entry.get("function"):
-        f = _build_function(entry["function"]["name"], entry["function"].get("param"))
-    if entry.get("function_g"):
-        g = _build_function(entry["function_g"]["name"], entry["function_g"].get("param"))
-    if entry.get("map"):
-        mp = entry["map"]
-        phi = random_map(
-            int(mp.get("dim_in", spec.dim)),
-            int(mp.get("dim_out", 1 if mp["variant"] in ("vector_state", "normalized_trace")
-                else spec.dim)),
-            mp["variant"],
-            int(mp.get("seed", spec.seed)),
-        )
-    if entry.get("norm"):
-        norm = NormKind.parse(entry["norm"])
+        if entry.get("function"):
+            f = _build_function(entry["function"]["name"], entry["function"].get("param"))
+        if entry.get("function_g"):
+            g = _build_function(entry["function_g"]["name"], entry["function_g"].get("param"))
+        if entry.get("map"):
+            mp = entry["map"]
+            phi = random_map(
+                int(mp.get("dim_in", spec.dim)),
+                int(mp.get("dim_out", 1 if mp["variant"] in ("vector_state", "normalized_trace")
+                    else spec.dim)),
+                mp["variant"],
+                int(mp.get("seed", spec.seed)),
+            )
+        if entry.get("norm"):
+            norm = NormKind.parse(entry["norm"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"config entry {position} ({check_id}): {exc!r}") from exc
     return verify.SuiteItem(check=check_id, spec=spec, f=f, g=g, phi=phi, norm=norm)
 
 

@@ -26,9 +26,9 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from . import linalg
-from .errors import InvalidInputError, NumericFailureError, ParameterError, PreconditionError
+from .errors import InvalidInputError, NumericFailureError, ParameterError
 from .linalg import as_matrix, hermitian_part, maxabs, solve_stack
-from .sector import is_accretive
+from .sector import is_accretive, require_accretive
 
 DEFAULT_ORDER = 80
 _MAX_ORDER = 512
@@ -48,19 +48,29 @@ def default_order() -> int:
     return order
 
 
+def _converged(compute: Callable[[int], np.ndarray], order: int) -> np.ndarray:
+    """compute(order), checked against compute at twice the order.
+
+    Raises NumericFailureError when doubling the order (capped at
+    _MAX_ORDER) moves the result by more than 1e-8 relative to its size.
+    """
+    X = compute(order)
+    X2 = compute(min(2 * order, _MAX_ORDER))
+    drift = maxabs(X2 - X) / (1.0 + maxabs(X))
+    if drift > 1e-8:
+        raise NumericFailureError(
+            f"quadrature not converged at order {order}: doubling moves by {drift:.3e}"
+        )
+    return X
+
+
 @dataclass(frozen=True)
 class DensitySpec:
-    """Jacobi-type density coeff * t^exp0 * (1-t)^exp1 * smooth(t) on [0, 1]."""
+    """Jacobi-type density coeff * t^exp0 * (1-t)^exp1 on [0, 1]."""
 
     coeff: float
     exp0: float
     exp1: float
-    smooth: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def smooth_at(self, t: np.ndarray) -> np.ndarray:
-        if self.smooth is None:
-            return np.ones_like(t)
-        return np.asarray(self.smooth(t), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,7 @@ def measure_mass(measure: MeasureSpec, order: int | None = None) -> float:
     d = measure.density
     if d is not None:
         rule = gauss_jacobi_rule(d.exp0, d.exp1, order or default_order())
-        mass += d.coeff * float(np.dot(rule.weights, d.smooth_at(rule.nodes)))
+        mass += d.coeff * float(np.sum(rule.weights))
     return float(mass)
 
 
@@ -141,7 +151,7 @@ def measure_mean(measure: MeasureSpec, order: int | None = None) -> float:
     d = measure.density
     if d is not None:
         rule = gauss_jacobi_rule(d.exp0, d.exp1, order or default_order())
-        mean += d.coeff * float(np.dot(rule.weights * rule.nodes, d.smooth_at(rule.nodes)))
+        mean += d.coeff * float(np.dot(rule.weights, rule.nodes))
     return float(mean)
 
 
@@ -275,9 +285,7 @@ def harmonic_unit(t: float, A, validate: bool = True) -> np.ndarray:
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"t must be in [0, 1], got {t}")
     if validate:
-        ok, margin = is_accretive(A)
-        if not ok:
-            raise PreconditionError(f"matrix is not accretive (margin {margin:.3e})")
+        require_accretive(A)
     n = A.shape[0]
     if t == 0.0:
         return np.eye(n, dtype=np.complex128)
@@ -288,12 +296,13 @@ def harmonic_unit(t: float, A, validate: bool = True) -> np.ndarray:
     return solve_stack(M[None])[0]
 
 
-def _measure_integral(measure: MeasureSpec, order: int, unit, endpoint0, endpoint1, nodes_fn):
+def _measure_integral(measure: MeasureSpec, order: int, endpoint0, endpoint1, nodes_fn):
     """Sum atoms + Gauss-Jacobi density terms of a matrix-valued integrand.
 
-    unit(t) evaluates one interior point, nodes_fn(ts) a whole batch;
-    endpoint0/endpoint1 are the exact t = 0 / t = 1 limits.  Summation
-    order is fixed (atoms in declaration order, then nodes by index).
+    nodes_fn(ts) evaluates a batch of interior points (an interior atom is a
+    batch of one); endpoint0/endpoint1 are the exact t = 0 / t = 1 limits.
+    Summation order is fixed (atoms in declaration order, then nodes by
+    index).
     """
     total = None
 
@@ -307,13 +316,12 @@ def _measure_integral(measure: MeasureSpec, order: int, unit, endpoint0, endpoin
         elif t == 1.0:
             add(w * endpoint1())
         else:
-            add(w * unit(t))
+            add(w * nodes_fn(np.array([t]))[0])
     d = measure.density
     if d is not None:
         rule = gauss_jacobi_rule(d.exp0, d.exp1, order)
-        weights = d.coeff * rule.weights * d.smooth_at(rule.nodes)
         stack = nodes_fn(rule.nodes)
-        add(np.einsum("k,kij->ij", weights, stack))
+        add(np.einsum("k,kij->ij", d.coeff * rule.weights, stack))
     return total
 
 
@@ -322,14 +330,11 @@ def _apply_via_measure(f: MonotoneFunction, A: np.ndarray, order: int) -> np.nda
     eye = np.eye(n, dtype=np.complex128)
     Ainv = solve_stack(A[None])[0]
 
-    def unit(t):
-        return solve_stack(((1.0 - t) * eye + t * Ainv)[None])[0]
-
     def batch(ts):
         stack = (1.0 - ts)[:, None, None] * eye + ts[:, None, None] * Ainv
         return solve_stack(stack)
 
-    return _measure_integral(f.measure, order, unit, lambda: eye, lambda: A.copy(), batch)
+    return _measure_integral(f.measure, order, lambda: eye, lambda: A.copy(), batch)
 
 
 def apply_function(
@@ -348,20 +353,12 @@ def apply_function(
     admits any matrix whose spectrum avoids (-inf, 0] (used by the
     congruence route, where that condition holds by construction).
     """
-    A = as_matrix(A)
+    A = require_accretive(A) if validate else as_matrix(A)
     order = order or default_order()
-    if validate:
-        ok, margin = is_accretive(A)
-        if not ok:
-            raise PreconditionError(f"matrix is not accretive (margin {margin:.3e})")
-    F = _apply_via_measure(f, A, order)
     if check_convergence and f.measure.density is not None:
-        F2 = _apply_via_measure(f, A, min(2 * order, _MAX_ORDER))
-        drift = maxabs(F2 - F) / (1.0 + maxabs(F))
-        if drift > 1e-8:
-            raise NumericFailureError(
-                f"quadrature not converged at order {order}: doubling moves by {drift:.3e}"
-            )
+        F = _converged(lambda k: _apply_via_measure(f, A, k), order)
+    else:
+        F = _apply_via_measure(f, A, order)
     if validate:
         ok, margin = is_accretive(F)
         if not ok:
@@ -391,10 +388,7 @@ def choose_contour(A) -> DunfordContour:
     large enough that the trapezoid rule's geometric error bound
     max(bound/r, r/c)^N reaches 1e-12.
     """
-    A = as_matrix(A)
-    ok, margin = is_accretive(A)
-    if not ok:
-        raise PreconditionError(f"matrix is not accretive (margin {margin:.3e})")
+    A = require_accretive(A)
     m = float(np.linalg.eigvalsh(hermitian_part(A))[0])
     R = linalg.opnorm(A)
     c = 1.05 * max(R * R / m, 2.0 * m)
@@ -420,11 +414,7 @@ def dunford_apply(f: MonotoneFunction, A, contour: DunfordContour, validate: boo
     Trapezoid rule on the circle, exponentially convergent for analytic
     integrands; the independent cross-check against apply_function.
     """
-    A = as_matrix(A)
-    if validate:
-        ok, margin = is_accretive(A)
-        if not ok:
-            raise PreconditionError(f"matrix is not accretive (margin {margin:.3e})")
+    A = require_accretive(A) if validate else as_matrix(A)
     if contour.nodes < 16:
         raise ParameterError("contour needs at least 16 nodes")
     if not 0.0 < contour.radius < contour.center:

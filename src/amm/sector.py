@@ -64,42 +64,41 @@ def is_accretive(A) -> tuple[bool, float]:
     return margin > linalg.TAU_LOEWNER, margin
 
 
-def _require_accretive(A) -> np.ndarray:
+def require_accretive(A, name: str = "matrix") -> np.ndarray:
+    """A as a complex matrix; PreconditionError naming ``name`` unless accretive."""
     A = as_matrix(A)
     ok, margin = is_accretive(A)
     if not ok:
-        raise PreconditionError(f"matrix is not accretive (margin {margin:.3e})")
+        raise PreconditionError(f"{name} is not accretive (margin {margin:.3e})")
     return A
 
 
-def sectorial_angle(A) -> float:
-    """Least alpha with W(A) inside S_alpha, for accretive A.
+def certify(A) -> SectorCertificate:
+    """Full (alpha, m, M) certificate for an accretive matrix.
 
-    Computed as arctan of the largest |eigenvalue| of
-    (Re A)^{-1/2} (Im A) (Re A)^{-1/2}, which is exactly the smallest alpha
-    with tan(alpha) Re A +- Im A >= 0.
+    One eigendecomposition of Re A gives both: its extreme values are m and
+    M, and its vectors form (Re A)^{-1/2}.  alpha is arctan of the largest
+    |eigenvalue| of (Re A)^{-1/2} (Im A) (Re A)^{-1/2}, which is exactly the
+    smallest alpha with tan(alpha) Re A +- Im A >= 0.
     """
-    A = _require_accretive(A)
-    re_eig = linalg.hermitian_eigen(hermitian_part(A))
-    W = re_eig.vectors @ np.diag(re_eig.values**-0.5) @ re_eig.vectors.conj().T
+    A = require_accretive(A)
+    vals, vecs = np.linalg.eigh(hermitian_part(A))
+    W = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
     H = W @ imaginary_part(A) @ W
     H = (H + H.conj().T) / 2.0
     rho = float(np.max(np.abs(np.linalg.eigvalsh(H))))
-    return math.atan(rho)
+    return SectorCertificate(alpha=math.atan(rho), m=float(vals[0]), M=float(vals[-1]))
+
+
+def sectorial_angle(A) -> float:
+    """Least alpha with W(A) inside S_alpha, for accretive A (see certify)."""
+    return certify(A).alpha
 
 
 def re_bounds(A) -> tuple[float, float]:
     """(lambda_min, lambda_max) of Re A, for accretive A."""
-    A = _require_accretive(A)
-    vals = np.linalg.eigvalsh(hermitian_part(A))
-    return float(vals[0]), float(vals[-1])
-
-
-def certify(A) -> SectorCertificate:
-    """Full (alpha, m, M) certificate for an accretive matrix."""
-    alpha = sectorial_angle(A)
-    m, M = re_bounds(A)
-    return SectorCertificate(alpha=alpha, m=m, M=M)
+    cert = certify(A)
+    return cert.m, cert.M
 
 
 def _rng(seed: int, index: int, salt: int = 0) -> np.random.Generator:

@@ -73,20 +73,6 @@ def _power(t: float) -> MonotoneFunction:
     return catalog("power", t)
 
 
-def _certify(A: np.ndarray) -> tuple[float, float, float]:
-    """(alpha, m, M) by the same formulas as sector.sectorial_angle/re_bounds,
-    computed from a single pass for the engine's hot loop."""
-    ReA = _H(A)
-    vals, vecs = np.linalg.eigh(ReA)
-    m, M = float(vals[0]), float(vals[-1])
-    W = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
-    Im = (A - A.conj().T) / 2.0j
-    Hm = W @ Im @ W
-    Hm = (Hm + Hm.conj().T) / 2.0
-    rho = float(np.max(np.abs(np.linalg.eigvalsh(Hm))))
-    return math.atan(rho), m, M
-
-
 @lru_cache(maxsize=20000)
 def _operand_pair(spec: EnsembleSpec, index: int):
     """Certified operand pair for sample ``index``, shared across checks."""
@@ -96,9 +82,8 @@ def _operand_pair(spec: EnsembleSpec, index: int):
     )
     A = random_sectorial(wide, 2 * index)
     B = random_sectorial(wide, 2 * index + 1)
-    aA, mA, MA = _certify(A)
-    aB, mB, MB = _certify(B)
-    return A, B, max(aA, aB), min(mA, mB), max(MA, MB)
+    cA, cB = sector.certify(A), sector.certify(B)
+    return A, B, max(cA.alpha, cB.alpha), min(cA.m, cB.m), max(cA.M, cB.M)
 
 
 class _Sample:
@@ -403,87 +388,12 @@ def _ev_norm_of_sigma(c):
     return _sm(lhs, rhs)
 
 
-# --- classical counterparts on positive ensembles --------------------------
-
-def _ev_pos_jensen(c):
-    x = c.unit_vector()
-    lhs = c.inner(c.apply(c.f, c.A), x).real
-    rhs = scalar_eval(c.f, c.inner(c.A, x).real).real
-    return _sm(lhs, rhs)
-
-
-def _ev_pos_sigma_inner(c):
-    x = c.unit_vector()
-    lhs = c.inner(c.sigma(c.A, c.B), x).real
-    rhs = scalar_sigma(c.inner(c.A, x).real, c.inner(c.B, x).real, c.f).real
-    return _sm(lhs, rhs)
-
-
-def _ev_pos_sigma_norm(c):
-    lhs = uinorm(c.sigma(c.A, c.B), c.norm)
-    rhs = scalar_sigma(uinorm(c.A, c.norm), uinorm(c.B, c.norm), c.f).real
-    return _sm(lhs, rhs)
-
-
-def _ev_pos_amgmhm(c):
-    t = c.f.derivative_at_one
-    S = _H(c.sigma(c.A, c.B))
-    return min(
-        _lm(_H(c.harm(c.A, c.B, t)), S),
-        _lm(S, _H(arithmetic_mean(c.A, c.B, t))),
-    )
-
-
-def _ev_pos_ando(c):
-    L = _H(apply_map(c.phi, c.sigma(c.A, c.B)))
-    R = _H(c.sigma(apply_map(c.phi, c.A), apply_map(c.phi, c.B)))
-    return _lm(L, R)
-
-
-def _ev_pos_choi(c):
-    L = _H(apply_map(c.phi, c.apply(c.f, c.A)))
-    R = _H(c.apply(c.f, apply_map(c.phi, c.A)))
-    return _lm(L, R)
-
-
-def _ev_pos_ando_hiai(c):
-    L = _H(c.sigma(c.apply(c.f, c.A), c.apply(c.f, c.B), _power(0.5)))
-    R = _H(c.apply(c.f, arithmetic_mean(c.A, c.B, 0.5)))
-    return _lm(L, R)
-
-
-def _ev_pos_f_norm(c):
-    lhs = scalar_eval(c.f, uinorm(c.A, c.norm)).real
-    rhs = uinorm(_H(c.apply(c.f, c.A)), c.norm)
-    return _sm(lhs, rhs)
-
-
-def _ev_pos_ando_zhan(c):
-    lhs = uinorm(c.apply(c.f, c.A + c.B), c.norm)
-    rhs = uinorm(c.apply(c.f, c.A) + c.apply(c.f, c.B), c.norm)
-    return _sm(lhs, rhs)
-
-
-def _ev_pos_gumus(c):
-    t = c.draw_t()
-    K = c.gumus_factor(t)
-    return _lm(_H(arithmetic_mean(c.A, c.B, t)), K * _H(c.sigma(c.A, c.B, _power(t))))
-
+# --- classical checks with no sectorial twin -------------------------------
 
 def _ev_pos_sharpando(c):
     G = c.sigma(arithmetic_mean(c.A, c.B, 0.5), c.harm(c.A, c.B, 0.5), _power(0.5))
     S = c.sigma(c.A, c.B, _power(0.5))
     return _dev(G, S)
-
-
-def _ev_pos_ts(c):
-    # A nabla_t (A sharp_s B) <= A sharp_s (A nabla_t B) by joint concavity
-    # of sharp_s (the 1x1 case decides the orientation).
-    s, t = c.draw_t(), c.draw_t()
-    ps = _power(s)
-    L = _H(arithmetic_mean(c.A, c.sigma(c.A, c.B, ps), t))
-    R = _H(c.sigma(c.A, arithmetic_mean(c.A, c.B, t), ps))
-    return _lm(L, R)
 
 
 def _ev_pos_ab_norm(c):
@@ -492,23 +402,19 @@ def _ev_pos_ab_norm(c):
     return _sm(lhs, rhs)
 
 
-def _ev_pos_concave(c):
-    t = c.draw_t()
-    L = _H(arithmetic_mean(c.apply(c.f, c.A), c.apply(c.f, c.B), t))
-    R = _H(c.apply(c.f, arithmetic_mean(c.A, c.B, t)))
-    return _lm(L, R)
-
-
 @dataclass(frozen=True)
 class CheckDef:
     id: str
-    evaluate: Callable
+    evaluate: Callable | None      # None when twin_of supplies it
     kind: str = "order"            # "order" or "identity"
     ensemble: str = "sectorial"    # "sectorial" or "positive"
     needs_f: bool = False
     needs_g: bool = False
     map_kind: str | None = None    # None, "unital" or "positive"
     needs_norm: bool = False
+    # A classical check that is its sectorial twin read on an alpha = 0
+    # ensemble, where every sec/cos factor is exactly 1.
+    twin_of: str | None = None
 
 
 _DEFS = (
@@ -549,25 +455,27 @@ _DEFS = (
     CheckDef("ando_zhan", _ev_ando_zhan, needs_f=True, needs_norm=True),
     CheckDef("f_nabla_norm", _ev_f_nabla_norm, needs_f=True, needs_norm=True),
     CheckDef("norm_of_sigma", _ev_norm_of_sigma, needs_f=True, needs_norm=True),
-    CheckDef("pos_jensen", _ev_pos_jensen, ensemble="positive", needs_f=True),
-    CheckDef("pos_sigma_inner", _ev_pos_sigma_inner, ensemble="positive", needs_f=True),
-    CheckDef("pos_sigma_norm", _ev_pos_sigma_norm, ensemble="positive", needs_f=True,
-             needs_norm=True),
-    CheckDef("pos_amgmhm", _ev_pos_amgmhm, ensemble="positive", needs_f=True),
-    CheckDef("pos_ando", _ev_pos_ando, ensemble="positive", needs_f=True,
-             map_kind="positive"),
-    CheckDef("pos_choi", _ev_pos_choi, ensemble="positive", needs_f=True,
-             map_kind="unital"),
-    CheckDef("pos_ando_hiai", _ev_pos_ando_hiai, ensemble="positive", needs_f=True),
-    CheckDef("pos_f_norm", _ev_pos_f_norm, ensemble="positive", needs_f=True,
-             needs_norm=True),
-    CheckDef("pos_ando_zhan", _ev_pos_ando_zhan, ensemble="positive", needs_f=True,
-             needs_norm=True),
-    CheckDef("pos_gumus", _ev_pos_gumus, ensemble="positive"),
+    CheckDef("pos_jensen", None, ensemble="positive", needs_f=True, twin_of="f_inner"),
+    CheckDef("pos_sigma_inner", None, ensemble="positive", needs_f=True,
+             twin_of="sigma_inner"),
+    CheckDef("pos_sigma_norm", None, ensemble="positive", needs_f=True, needs_norm=True,
+             twin_of="norm_of_sigma"),
+    CheckDef("pos_amgmhm", None, ensemble="positive", needs_f=True, twin_of="amgmhm"),
+    CheckDef("pos_ando", None, ensemble="positive", needs_f=True, map_kind="positive",
+             twin_of="ando_sector"),
+    CheckDef("pos_choi", None, ensemble="positive", needs_f=True, map_kind="unital",
+             twin_of="choi_sector"),
+    CheckDef("pos_ando_hiai", None, ensemble="positive", needs_f=True,
+             twin_of="f_sharp_nabla"),
+    CheckDef("pos_f_norm", None, ensemble="positive", needs_f=True, needs_norm=True,
+             twin_of="f_norm_lower"),
+    CheckDef("pos_ando_zhan", None, ensemble="positive", needs_f=True, needs_norm=True,
+             twin_of="ando_zhan"),
+    CheckDef("pos_gumus", None, ensemble="positive", twin_of="gumus_a"),
     CheckDef("pos_sharpando", _ev_pos_sharpando, kind="identity", ensemble="positive"),
-    CheckDef("pos_ts", _ev_pos_ts, ensemble="positive"),
+    CheckDef("pos_ts", None, ensemble="positive", twin_of="mixed_ns"),
     CheckDef("pos_ab_norm", _ev_pos_ab_norm, ensemble="positive", needs_norm=True),
-    CheckDef("pos_concave", _ev_pos_concave, ensemble="positive", needs_f=True),
+    CheckDef("pos_concave", None, ensemble="positive", needs_f=True, twin_of="f_nabla"),
 )
 
 REGISTRY: dict[str, CheckDef] = {d.id: d for d in _DEFS}
@@ -652,6 +560,7 @@ def run_check(
                 "for mismatched derivatives already at dimension 1"
             )
 
+    evaluate = REGISTRY[d.twin_of].evaluate if d.twin_of else d.evaluate
     eff_spec = spec
     if d.ensemble == "positive" and spec.alpha_max != 0.0:
         eff_spec = EnsembleSpec(dim=spec.dim, alpha_max=0.0, m=spec.m, M=spec.M,
@@ -662,7 +571,7 @@ def run_check(
     worst = 0
     for i in range(eff_spec.count):
         c = _Sample(eff_spec, i, check_id, f, g, phi, norm, alpha_mode)
-        margin = float(d.evaluate(c))
+        margin = float(evaluate(c))
         if margin < min_margin:
             min_margin = margin
             worst = i

@@ -236,6 +236,21 @@ class TestSuite:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["suite", "--report", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("field", [
+        {"norm": "kyfan(x)"},
+        {"function": {"name": "power", "param": "abc"}},
+        {"function": "power"},
+        {"map": {"dim_in": 2}},
+    ])
+    def test_malformed_entry_exit_2_names_position(self, tmp_path, capsys, field):
+        cfg = suite_config(tmp_path, [
+            {"id": "inv_real", "dim": 2, "count": 2, "seed": 1},
+            {"id": "choi_sector", "dim": 2, "count": 2, "seed": 1, **field},
+        ])
+        code = main(["suite", "--config", cfg, "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "config entry 1" in capsys.readouterr().err
+
 
 class TestEntry:
     def test_module_invocation(self, tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from amm import linalg, means
-from amm.errors import ParameterError, PreconditionError
-from amm.funcalc import catalog, standard_catalog
+from amm.errors import NumericFailureError, ParameterError, PreconditionError
+from amm.funcalc import apply_function, catalog, standard_catalog
 from amm.linalg import hermitian_part, inverse, loewner_leq, maxabs, opnorm
 from amm.means import (
     arithmetic_mean,
@@ -225,3 +225,18 @@ class TestScalarSigma:
     def test_zero_rejected(self):
         with pytest.raises(ParameterError):
             scalar_sigma(0.0, 1.0, catalog("power", 0.5))
+
+
+class TestConvergenceFailure:
+    # a wide sector with M/m = 100 at order 4: doubling the order moves each
+    # result by 1e-5 or more, so each routine must refuse instead of return
+    @pytest.mark.parametrize("compute", [
+        lambda A, B: apply_function(catalog("power", 0.3), A, order=4),
+        lambda A, B: sigma_mean(A, B, catalog("uniform"), order=4),
+        lambda A, B: geometric_mean(A, B, 0.3, order=4),
+        lambda A, B: drury_half(A, B, order=4),
+    ], ids=["apply_function", "sigma_mean", "geometric_mean", "drury_half"])
+    def test_doubling_drift_raises(self, compute):
+        A, B = pair(4, 1.2, 3, M=100.0)
+        with pytest.raises(NumericFailureError, match="not converged"):
+            compute(A, B)

@@ -53,6 +53,19 @@ class TestRegistry:
         for cid in POSITIVE_IDS:
             assert REGISTRY[cid].ensemble == "positive"
 
+    def test_classical_twins(self):
+        # a twinned pos_* check reuses its sectorial twin's evaluator, so the
+        # two must agree on everything the evaluator and run_check consult
+        own = {cid for cid in POSITIVE_IDS if REGISTRY[cid].evaluate is not None}
+        assert own == {"pos_sharpando", "pos_ab_norm"}
+        for cid in set(POSITIVE_IDS) - own:
+            d = REGISTRY[cid]
+            twin = REGISTRY[d.twin_of]
+            assert twin.ensemble == "sectorial" and twin.evaluate is not None
+            for attr in ("kind", "needs_f", "needs_g", "map_kind", "needs_norm"):
+                assert getattr(d, attr) == getattr(twin, attr), (cid, attr)
+        assert all(REGISTRY[cid].twin_of is None for cid in own | set(SECTORIAL_IDS))
+
     def test_identity_kinds(self):
         identities = {cid for cid, d in REGISTRY.items() if d.kind == "identity"}
         assert identities == {"transformer", "pos_sharpando"}
