@@ -139,6 +139,14 @@ class TestSingularValues:
         # the gram route loses half the digits on the null space
         np.testing.assert_allclose(sv[:-1], np.zeros(4), atol=1e-6 * expect)
 
+    def test_near_singular_relative_accuracy(self):
+        from amm.sector import haar_unitary
+
+        rng = np.random.default_rng(3)
+        U, V = haar_unitary(2, rng), haar_unitary(2, rng)
+        A = U @ np.diag([1.0, 1e-10]) @ V.conj().T
+        np.testing.assert_allclose(linalg.singular_values(A), [1e-10, 1.0], rtol=1e-6)
+
 
 ALL_KINDS = [linalg.OPERATOR, linalg.FROBENIUS, linalg.TRACE, linalg.kyfan(2)]
 
