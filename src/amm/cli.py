@@ -59,12 +59,13 @@ def write_matrix(path, A: np.ndarray):
     A = np.asarray(A, dtype=np.complex128)
     payload = {
         "n": A.shape[0],
-        "re": [[float(v) for v in row] for row in A.real],
-        "im": [[float(v) for v in row] for row in A.imag],
+        "re": A.real.tolist(),
+        "im": A.imag.tolist(),
     }
+    # one json.dumps call takes the C encoder; json.dump to a file does not
+    text = json.dumps(payload) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _build_function(name: str, param) -> funcalc.MonotoneFunction:

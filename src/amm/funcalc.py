@@ -8,7 +8,8 @@ measure nu_f on [0, 1] through which
 where I !_t A = ((1-t) I + t A^{-1})^{-1} is the weighted harmonic mean with
 the identity.  The measure is represented as point atoms plus a Jacobi-type
 density t^e0 (1-t)^e1 and is integrated by Gauss-Jacobi rules matched to the
-endpoint exponents.  A Dunford contour integral over a circle in the right
+endpoint exponents, built by Golub-Welsch, at an order doubled from 8 until
+the result settles (see _converged).  A Dunford contour integral over a circle in the right
 half-plane provides an independent second route to f(A); agreement of the
 two is the module's central cross-check.
 """
@@ -23,19 +24,22 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import beta
 
 from . import linalg
 from .errors import InvalidInputError, NumericFailureError, ParameterError
 from .linalg import as_matrix, hermitian_part, maxabs, solve_stack
 from .sector import is_accretive, require_accretive
 
-DEFAULT_ORDER = 80
+DEFAULT_ORDER = None
+_START_ORDER = 8
 _MAX_ORDER = 512
+_DRIFT_TOL = 1e-8
 
 
-def default_order() -> int:
-    """Default quadrature order, overridable via AMM_QUAD_ORDER."""
+def default_order() -> int | None:
+    """Order pinned by AMM_QUAD_ORDER, or None: each call then chooses its own."""
     raw = os.environ.get("AMM_QUAD_ORDER")
     if raw is None:
         return DEFAULT_ORDER
@@ -48,20 +52,47 @@ def default_order() -> int:
     return order
 
 
-def _converged(compute: Callable[[int], np.ndarray], order: int) -> np.ndarray:
-    """compute(order), checked against compute at twice the order.
+def _drift(X: np.ndarray, X2: np.ndarray) -> float:
+    return maxabs(X2 - X) / (1.0 + maxabs(X))
 
-    Raises NumericFailureError when doubling the order (capped at
-    _MAX_ORDER) moves the result by more than 1e-8 relative to its size.
+
+def _not_converged(order: int, drift: float) -> NumericFailureError:
+    return NumericFailureError(
+        f"quadrature not converged at order {order}: doubling moves by {drift:.3e}"
+    )
+
+
+def _converged(
+    compute: Callable[[tuple[int, ...]], list], order: int | None = None, check: bool = True
+) -> tuple[np.ndarray, int]:
+    """A quadrature value and the order it was taken at.
+
+    compute(orders) evaluates the quadrature at each of the given orders in
+    one batch.  A pinned order (an argument or AMM_QUAD_ORDER) is computed as
+    given and, when check is set, compared once against twice the order
+    (capped at _MAX_ORDER).  Otherwise the order is chosen by doubling from
+    _START_ORDER, whatever check says: orders 8 and 16 share one batch, and
+    the higher-order value is returned once doubling moves the result by at
+    most 1e-8 relative to its size.  A larger move raises
+    NumericFailureError, for an unpinned order once doubling reaches
+    _MAX_ORDER.
     """
-    X = compute(order)
-    X2 = compute(min(2 * order, _MAX_ORDER))
-    drift = maxabs(X2 - X) / (1.0 + maxabs(X))
-    if drift > 1e-8:
-        raise NumericFailureError(
-            f"quadrature not converged at order {order}: doubling moves by {drift:.3e}"
-        )
-    return X
+    order = order or default_order()
+    if order is not None:
+        if not check or order >= _MAX_ORDER:
+            return compute((order,))[0], order
+        X, X2 = compute((order, min(2 * order, _MAX_ORDER)))
+        if (drift := _drift(X, X2)) > _DRIFT_TOL:
+            raise _not_converged(order, drift)
+        return X, order
+    order = 2 * _START_ORDER
+    X, X2 = compute((_START_ORDER, order))
+    while (drift := _drift(X, X2)) > _DRIFT_TOL:
+        if order >= _MAX_ORDER:
+            raise _not_converged(order // 2, drift)
+        order *= 2
+        X, X2 = X2, compute((order,))[0]
+    return X2, order
 
 
 @dataclass(frozen=True)
@@ -110,17 +141,27 @@ class QuadratureRule:
 
 @lru_cache(maxsize=256)
 def _cached_rule(exp0: float, exp1: float, order: int) -> QuadratureRule:
-    # scipy's convention is the weight (1-x)^a (1+x)^b on [-1, 1]; shifting
-    # t = (1+x)/2 maps a -> exp1 and b -> exp0 with a 2^-(e0+e1+1) rescale.
-    import warnings
-
-    with warnings.catch_warnings():
-        # a 0/0 in scipy's normalization table when exp0 + exp1 = -1; the
-        # offending entry is masked by np.where and the rule is unaffected
-        warnings.simplefilter("ignore", RuntimeWarning)
-        x, w = roots_jacobi(order, exp1, exp0)
+    # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    # weight t^exp0 (1-t)^exp1, and the weights are mu0 times the squared
+    # first components of its eigenvectors.  The three-term recurrence is the
+    # one of the Jacobi polynomials on [-1, 1] for the weight (1-x)^a (1+x)^b
+    # with a = exp1, b = exp0, shifted to t = (1+x)/2.
+    a, b = exp1, exp0
+    ab = a + b
+    k = np.arange(order, dtype=float)
+    s = 2.0 * k + ab
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (b * b - a * a) / (s * (s + 2.0))
+        # the general off-diagonal is 0/0 at k = 1 when a + b = -1, as for
+        # every power density, so the first entry takes its closed form
+        offsq = 4.0 * k * (k + a) * (k + b) * (k + ab) / (s * s * (s + 1.0) * (s - 1.0))
+    diag[0] = (b - a) / (ab + 2.0)
+    if order > 1:
+        offsq[1] = 4.0 * (1.0 + a) * (1.0 + b) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    x, vectors = eigh_tridiagonal(diag, np.sqrt(offsq[1:]))
+    mu0 = beta(exp0 + 1.0, exp1 + 1.0)
     nodes = (x + 1.0) / 2.0
-    weights = w * 0.5 ** (exp0 + exp1 + 1.0)
+    weights = mu0 * vectors[0] ** 2
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
 
@@ -139,7 +180,7 @@ def measure_mass(measure: MeasureSpec, order: int | None = None) -> float:
     mass = sum(w for _, w in measure.atoms)
     d = measure.density
     if d is not None:
-        rule = gauss_jacobi_rule(d.exp0, d.exp1, order or default_order())
+        rule = gauss_jacobi_rule(d.exp0, d.exp1, order or default_order() or _START_ORDER)
         mass += d.coeff * float(np.sum(rule.weights))
     return float(mass)
 
@@ -150,7 +191,7 @@ def measure_mean(measure: MeasureSpec, order: int | None = None) -> float:
     mean = sum(w * t for t, w in measure.atoms)
     d = measure.density
     if d is not None:
-        rule = gauss_jacobi_rule(d.exp0, d.exp1, order or default_order())
+        rule = gauss_jacobi_rule(d.exp0, d.exp1, order or default_order() or _START_ORDER)
         mean += d.coeff * float(np.dot(rule.weights, rule.nodes))
     return float(mean)
 
@@ -296,36 +337,52 @@ def harmonic_unit(t: float, A, validate: bool = True) -> np.ndarray:
     return solve_stack(M[None])[0]
 
 
-def _measure_integral(measure: MeasureSpec, order: int, endpoint0, endpoint1, nodes_fn):
-    """Sum atoms + Gauss-Jacobi density terms of a matrix-valued integrand.
+def _measure_integral(measure: MeasureSpec, orders, endpoint0, endpoint1, nodes_fn) -> list:
+    """Atoms + Gauss-Jacobi density terms of a matrix-valued integrand, per order.
 
-    nodes_fn(ts) evaluates a batch of interior points (an interior atom is a
-    batch of one); endpoint0/endpoint1 are the exact t = 0 / t = 1 limits.
+    Returns one value for each entry of orders.  The density nodes of all
+    the orders go to nodes_fn(ts) in one batch (an interior atom is a batch
+    of one); endpoint0/endpoint1 are the exact t = 0 / t = 1 limits.
     Summation order is fixed (atoms in declaration order, then nodes by
     index).
     """
     total = None
-
-    def add(term):
-        nonlocal total
-        total = term if total is None else total + term
-
     for t, w in measure.atoms:
         if t == 0.0:
-            add(w * endpoint0())
+            term = w * endpoint0()
         elif t == 1.0:
-            add(w * endpoint1())
+            term = w * endpoint1()
         else:
-            add(w * nodes_fn(np.array([t]))[0])
+            term = w * nodes_fn(np.array([t]))[0]
+        total = term if total is None else total + term
     d = measure.density
-    if d is not None:
-        rule = gauss_jacobi_rule(d.exp0, d.exp1, order)
-        stack = nodes_fn(rule.nodes)
-        add(np.einsum("k,kij->ij", d.coeff * rule.weights, stack))
-    return total
+    if d is None:
+        return [total] * len(orders)
+    rules = [gauss_jacobi_rule(d.exp0, d.exp1, k) for k in orders]
+    stack = nodes_fn(np.concatenate([rule.nodes for rule in rules]))
+    values, start = [], 0
+    for rule in rules:
+        part = np.einsum("k,kij->ij", d.coeff * rule.weights, stack[start:start + rule.order])
+        values.append(part if total is None else total + part)
+        start += rule.order
+    return values
 
 
-def _apply_via_measure(f: MonotoneFunction, A: np.ndarray, order: int) -> np.ndarray:
+def _integrate(measure: MeasureSpec, order, check, endpoint0, endpoint1, nodes_fn):
+    """_measure_integral at the order _converged takes; returns (value, order).
+
+    Pure-atom measures are exact: they are evaluated once, unchecked, and
+    report order 0.
+    """
+    def compute(orders):
+        return _measure_integral(measure, orders, endpoint0, endpoint1, nodes_fn)
+
+    if measure.density is None:
+        return compute((0,))[0], 0
+    return _converged(compute, order, check)
+
+
+def _apply_via_measure(f: MonotoneFunction, A: np.ndarray, order, check):
     n = A.shape[0]
     eye = np.eye(n, dtype=np.complex128)
     Ainv = solve_stack(A[None])[0]
@@ -334,7 +391,7 @@ def _apply_via_measure(f: MonotoneFunction, A: np.ndarray, order: int) -> np.nda
         stack = (1.0 - ts)[:, None, None] * eye + ts[:, None, None] * Ainv
         return solve_stack(stack)
 
-    return _measure_integral(f.measure, order, lambda: eye, lambda: A.copy(), batch)
+    return _integrate(f.measure, order, check, lambda: eye, lambda: A.copy(), batch)
 
 
 def apply_function(
@@ -347,18 +404,17 @@ def apply_function(
     """f(A) through the harmonic-mean integral of the representing measure.
 
     With validate=True the input must be accretive and the result is checked
-    to be accretive in turn.  check_convergence reruns the quadrature at
-    twice the order and demands relative agreement within 1e-8; pure-atom
-    measures are exact and skip the test.  validate=False additionally
-    admits any matrix whose spectrum avoids (-inf, 0] (used by the
-    congruence route, where that condition holds by construction).
+    to be accretive in turn.  Without a pinned order (order or
+    AMM_QUAD_ORDER) the quadrature order is chosen by doubling until the
+    result moves by at most 1e-8 relative; a pinned order is used as given,
+    and check_convergence then reruns it at twice the order with the same
+    1e-8 demand.  Pure-atom measures are exact and skip both.
+    validate=False additionally admits any matrix whose spectrum avoids
+    (-inf, 0] (used by the congruence route, where that condition holds by
+    construction).
     """
     A = require_accretive(A) if validate else as_matrix(A)
-    order = order or default_order()
-    if check_convergence and f.measure.density is not None:
-        F = _converged(lambda k: _apply_via_measure(f, A, k), order)
-    else:
-        F = _apply_via_measure(f, A, order)
+    F, _ = _apply_via_measure(f, A, order, check_convergence)
     if validate:
         ok, margin = is_accretive(F)
         if not ok:

@@ -45,7 +45,7 @@ def as_matrix(a) -> np.ndarray:
 
 def maxabs(A: np.ndarray) -> float:
     """Largest entry magnitude (the entrywise max norm)."""
-    return float(np.max(np.abs(A)))
+    return float(np.abs(A).max())
 
 
 def hermitian_part(A) -> np.ndarray:

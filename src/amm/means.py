@@ -12,7 +12,10 @@ mutual agreement is enforced at 1e-8.  The routes are independent in their
 algebra but not in their quadrature: all three evaluate
 ((1-t) A^-1 + t B^-1)^-1 at the same Gauss-Jacobi nodes, so they share the
 quadrature error and agree even when the order is too low.  Only the
-doubling check (check_convergence) sees that error.
+doubling test sees that error.  Unless an order is pinned (an order
+argument or AMM_QUAD_ORDER), every integral here chooses its order by
+doubling from 8 until the result moves by at most 1e-8 relative, and the
+geometric routes all run at the order the measure route chose.
 """
 
 from __future__ import annotations
@@ -23,14 +26,21 @@ import numpy as np
 
 from . import funcalc, linalg
 from .errors import NumericFailureError, ParameterError
-from .funcalc import MonotoneFunction, catalog, default_order, gauss_jacobi_rule
+from .funcalc import DensitySpec, MeasureSpec, MonotoneFunction, catalog, gauss_jacobi_rule
 from .linalg import as_matrix, maxabs, principal_sqrt, solve_stack
 from .sector import require_accretive
 
 
-def _require_accretive_pair(A, B):
+# the arcsine law 1/pi * u^-1/2 (1-u)^-1/2 du of Drury's half-line average
+_ARCSINE = MeasureSpec(density=DensitySpec(coeff=1.0 / math.pi, exp0=-0.5, exp1=-0.5))
+
+
+def _operands(A, B, validate: bool):
+    """The operand pair as matrices; validate requires equal shapes and accretivity."""
     A = as_matrix(A)
     B = as_matrix(B)
+    if not validate:
+        return A, B
     if A.shape != B.shape:
         raise ParameterError(f"operand shapes differ: {A.shape} vs {B.shape}")
     return require_accretive(A, "A"), require_accretive(B, "B")
@@ -44,10 +54,7 @@ def harmonic_mean(A, B, t: float, validate: bool = True) -> np.ndarray:
     """A !_t B = ((1-t) A^{-1} + t B^{-1})^{-1}; endpoints return A or B."""
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"t must be in [0, 1], got {t}")
-    if validate:
-        A, B = _require_accretive_pair(A, B)
-    else:
-        A, B = as_matrix(A), as_matrix(B)
+    A, B = _operands(A, B, validate)
     if t == 0.0:
         return A.copy()
     if t == 1.0:
@@ -67,7 +74,8 @@ def arithmetic_mean(A, B, t: float) -> np.ndarray:
     return (1.0 - t) * A + t * B
 
 
-def _sigma_via_measure(A, B, f: MonotoneFunction, order: int) -> np.ndarray:
+def _sigma_integral(A, B, f: MonotoneFunction, order, check):
+    """(A sigma_f B, the quadrature order taken), as funcalc._integrate."""
     inv = solve_stack(np.stack([A, B]))
     Ainv, Binv = inv[0], inv[1]
 
@@ -75,7 +83,7 @@ def _sigma_via_measure(A, B, f: MonotoneFunction, order: int) -> np.ndarray:
         stack = (1.0 - ts)[:, None, None] * Ainv + ts[:, None, None] * Binv
         return solve_stack(stack)
 
-    return funcalc._measure_integral(f.measure, order, lambda: A.copy(), lambda: B.copy(), batch)
+    return funcalc._integrate(f.measure, order, check, lambda: A.copy(), lambda: B.copy(), batch)
 
 
 def sigma_mean(
@@ -86,15 +94,15 @@ def sigma_mean(
     validate: bool = True,
     check_convergence: bool = True,
 ) -> np.ndarray:
-    """A sigma_f B as the measure average of weighted harmonic means."""
-    if validate:
-        A, B = _require_accretive_pair(A, B)
-    else:
-        A, B = as_matrix(A), as_matrix(B)
-    order = order or default_order()
-    if check_convergence and f.measure.density is not None:
-        return funcalc._converged(lambda k: _sigma_via_measure(A, B, f, k), order)
-    return _sigma_via_measure(A, B, f, order)
+    """A sigma_f B as the measure average of weighted harmonic means.
+
+    Without a pinned order the quadrature order is chosen by doubling until
+    the result moves by at most 1e-8 relative; a pinned order is used as
+    given, and check_convergence then reruns it at twice the order with the
+    same demand.  Pure-atom measures are exact and skip both.
+    """
+    A, B = _operands(A, B, validate)
+    return _sigma_integral(A, B, f, order, check_convergence)[0]
 
 
 def congruence_sigma(
@@ -106,10 +114,7 @@ def congruence_sigma(
     (-inf, 0] whenever A and B are accretive, so the harmonic-mean integral
     for f still applies (with validation disabled).
     """
-    if validate:
-        A, B = _require_accretive_pair(A, B)
-    else:
-        A, B = as_matrix(A), as_matrix(B)
+    A, B = _operands(A, B, validate)
     S = principal_sqrt(A)
     Sinv = linalg.inverse(S)
     M = Sinv @ B @ Sinv
@@ -131,20 +136,24 @@ def _geometric_halfline(A, B, lam: float, order: int) -> np.ndarray:
     return np.einsum("k,kij->ij", weights, resolved)
 
 
-def geometric_paths(A, B, lam: float, order: int | None = None, validate: bool = True):
-    """The three geometric-mean evaluations (measure, congruence, half-line)."""
+def _geometric_routes(A, B, lam: float, order, validate: bool, check: bool):
     if not 0.0 < lam < 1.0:
         raise ParameterError(f"lambda must be in (0, 1), got {lam}")
-    if validate:
-        A, B = _require_accretive_pair(A, B)
-    else:
-        A, B = as_matrix(A), as_matrix(B)
-    order = order or default_order()
+    A, B = _operands(A, B, validate)
     f = catalog("power", lam)
-    via_measure = sigma_mean(A, B, f, order=order, validate=False, check_convergence=False)
+    via_measure, order = _sigma_integral(A, B, f, order, check)
     via_congruence = congruence_sigma(A, B, f, order=order, validate=False)
     via_halfline = _geometric_halfline(A, B, lam, order)
     return via_measure, via_congruence, via_halfline
+
+
+def geometric_paths(A, B, lam: float, order: int | None = None, validate: bool = True):
+    """The three geometric-mean evaluations (measure, congruence, half-line).
+
+    The measure route chooses the order by doubling unless one is pinned
+    (a pinned order goes unchecked here); the other two routes run at it.
+    """
+    return _geometric_routes(A, B, lam, order, validate, check=False)
 
 
 def geometric_mean(
@@ -160,24 +169,16 @@ def geometric_mean(
     Returns the measure-integral value; any pairwise relative deviation
     beyond 1e-8 among the three routes raises NumericFailureError.  The
     routes share their quadrature nodes, so their agreement says nothing
-    about quadrature error; check_convergence re-runs the measure route at
-    twice the order and raises NumericFailureError on a 1e-8 move.
+    about quadrature error.  That error is bounded by the measure route:
+    without a pinned order it doubles the order until the result moves by
+    at most 1e-8; a pinned order is rerun at twice the order when
+    check_convergence is set.  Either way a larger move raises
+    NumericFailureError.
     """
-    Pa, Pb, Pc = geometric_paths(A, B, lam, order=order, validate=validate)
+    Pa, Pb, Pc = _geometric_routes(A, B, lam, order, validate, check_convergence)
     worst = max(_rel_dev(Pa, Pb), _rel_dev(Pa, Pc), _rel_dev(Pb, Pc))
     if worst > 1e-8:
         raise NumericFailureError(f"geometric-mean paths disagree by {worst:.3e}")
-    if check_convergence:
-        order = order or default_order()
-        f = catalog("power", lam)
-
-        def measure_route(k):
-            # Pa is this route at the given order; only the doubled order is new
-            if k == order:
-                return Pa
-            return sigma_mean(A, B, f, order=k, validate=False, check_convergence=False)
-
-        funcalc._converged(measure_route, order)
     return Pa
 
 
@@ -186,26 +187,19 @@ def drury_half(
 ) -> np.ndarray:
     """A sharp B via the inverted half-line average (2/pi int (tA + B/t)^-1 dt/t)^-1.
 
-    The substitution u = t^2/(1+t^2) turns the average into a Chebyshev-weight
-    integral on [0, 1]; the final inversion recovers the mean.  Agrees with
+    The substitution u = t^2/(1+t^2) turns the average into an integral
+    against the arcsine law on [0, 1]; the final inversion recovers the
+    mean.  The order is chosen as in sigma_mean.  Agrees with
     geometric_mean(A, B, 1/2) within 1e-7.
     """
-    if validate:
-        A, B = _require_accretive_pair(A, B)
-    else:
-        A, B = as_matrix(A), as_matrix(B)
-    order = order or default_order()
+    A, B = _operands(A, B, validate)
 
-    def average(k):
-        rule = gauss_jacobi_rule(-0.5, -0.5, k)
-        u = rule.nodes
+    def batch(u):
         ratio = u / (1.0 - u)
         stack = B[None, :, :] + ratio[:, None, None] * A[None, :, :]
-        resolved = solve_stack(stack)
-        weights = rule.weights / (math.pi * (1.0 - u))
-        return np.einsum("k,kij->ij", weights, resolved)
+        return solve_stack(stack) / (1.0 - u)[:, None, None]
 
-    S = funcalc._converged(average, order) if check_convergence else average(order)
+    S, _ = funcalc._integrate(_ARCSINE, order, check_convergence, None, None, batch)
     return linalg.inverse(S)
 
 
@@ -218,28 +212,25 @@ def geometric_neg(
     A { sin(lam pi)/pi int t^(lam-1) (1-t)^(-lam) (A^-1 !_t B^-1) dt } A
     (where A^-1 !_t B^-1 = ((1-t) A + t B)^-1 needs no pre-inversion) and
     cross-checks it against A^{1/2} (A^{-1/2} B A^{-1/2})^{-lam} A^{1/2}
-    within 1e-8.
+    within 1e-8.  Without a pinned order the integral chooses its order by
+    doubling, as in sigma_mean, and the cross-check runs at that order; a
+    pinned order is used as given.
     """
     if not 0.0 < lam < 1.0:
         raise ParameterError(f"lambda must be in (0, 1), got {lam}")
-    if validate:
-        A, B = _require_accretive_pair(A, B)
-    else:
-        A, B = as_matrix(A), as_matrix(B)
-    order = order or default_order()
-    rule = gauss_jacobi_rule(lam - 1.0, -lam, order)
-    t = rule.nodes
-    stack = (1.0 - t)[:, None, None] * A + t[:, None, None] * B
-    resolved = solve_stack(stack)
-    weights = (math.sin(lam * math.pi) / math.pi) * rule.weights
-    J = np.einsum("k,kij->ij", weights, resolved)
+    A, B = _operands(A, B, validate)
+    f = catalog("power", lam)
+
+    def batch(t):
+        return solve_stack((1.0 - t)[:, None, None] * A + t[:, None, None] * B)
+
+    J, order = funcalc._integrate(f.measure, order, False, None, None, batch)
     result = A @ J @ A
 
     S = principal_sqrt(A)
     Sinv = linalg.inverse(S)
     M = Sinv @ B @ Sinv
-    F = funcalc.apply_function(catalog("power", lam), M, order=order,
-                               validate=False, check_convergence=False)
+    F = funcalc.apply_function(f, M, order=order, validate=False, check_convergence=False)
     other = S @ linalg.inverse(F) @ S
     dev = _rel_dev(result, other)
     if dev > 1e-8:

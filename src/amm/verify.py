@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import funcalc, linalg, sector
+from . import linalg, sector
 from .errors import ParameterError
 from .funcalc import MonotoneFunction, apply_function, catalog, scalar_eval, standard_catalog
 from .linalg import (
@@ -101,7 +101,6 @@ class _Sample:
         self.cos2 = self.cosa * self.cosa
         self.sec2 = self.seca * self.seca
         self.f, self.g, self.phi, self.norm = f, g, phi, norm
-        self.order = funcalc.default_order()
         self.eye = np.eye(spec.dim, dtype=np.complex128)
         self._rng = None
         self._seed = (spec.seed, zlib.crc32(check_id.encode()), index)
@@ -114,12 +113,10 @@ class _Sample:
 
     # means and functional calculus with validation handled by the engine
     def sigma(self, X, Y, fn=None):
-        return sigma_mean(X, Y, fn or self.f, order=self.order,
-                          validate=False, check_convergence=False)
+        return sigma_mean(X, Y, fn or self.f, validate=False)
 
     def apply(self, fn, X):
-        return apply_function(fn, X, order=self.order,
-                              validate=False, check_convergence=False)
+        return apply_function(fn, X, validate=False)
 
     def harm(self, X, Y, t):
         return harmonic_mean(X, Y, t, validate=False)

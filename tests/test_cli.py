@@ -39,6 +39,20 @@ class TestMatrixIO:
         write_matrix(p, A)
         np.testing.assert_array_equal(read_matrix(p), A)
 
+    def test_bytes_unchanged(self, tmp_path):
+        p = tmp_path / "m.json"
+        write_matrix(p, np.array([[1.0, -0.1 + 2.5e-17j], [1 / 3 + 1e300j, -0.0 - 7j]]))
+        assert p.read_bytes() == (
+            b'{"n": 2, "re": [[1.0, -0.1], [0.3333333333333333, -0.0]], '
+            b'"im": [[0.0, 2.5e-17], [1e+300, -7.0]]}\n'
+        )
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        write_matrix(p, A)
+        payload = {"n": 16, "re": [[float(v) for v in row] for row in A.real],
+                   "im": [[float(v) for v in row] for row in A.imag]}
+        assert p.read_text(encoding="utf-8") == json.dumps(payload) + "\n"
+
     def test_malformed_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"n": 2, "re": [[1.0]], "im": [[0.0]]}')

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from amm import funcalc
-from amm.errors import InvalidInputError, ParameterError, PreconditionError
+from amm.errors import InvalidInputError, NumericFailureError, ParameterError, PreconditionError
 from amm.funcalc import (
     apply_function,
     catalog,
@@ -93,6 +93,16 @@ class TestQuadrature:
             got = float(np.dot(rule.weights, rule.nodes**p))
             want = beta(e0 + p + 1, e1 + 1)
             assert got == pytest.approx(want, rel=1e-12), f"moment {p}"
+
+    @pytest.mark.parametrize("order", [16, 80, 160, 512])
+    @pytest.mark.parametrize("e0,e1", [(-0.7, -0.3), (-0.5, -0.5), (-0.3, -0.7), (0.0, 0.0)])
+    def test_moments_at_high_order(self, e0, e1, order):
+        # the power densities t^(lam-1) (1-t)^(-lam) and the flat one; the
+        # rule's own error must stay far below the 1e-8 doubling test
+        rule = gauss_jacobi_rule(e0, e1, order)
+        for p in range(6):
+            got = float(np.dot(rule.weights, rule.nodes**p))
+            assert abs(got - beta(e0 + p + 1, e1 + 1)) <= 1e-14, f"moment {p}"
 
     def test_power_rule_mean(self):
         lam = 0.5
@@ -248,6 +258,46 @@ class TestScalarEval:
             scalar_eval(f, -1.0)
         with pytest.raises(InvalidInputError):
             scalar_eval(f, 0.0)
+
+
+class TestAdaptiveOrder:
+    def test_hard_edge_power(self):
+        # at alpha = 1.4, M/m = 100 a fixed order of 80 misses the 1e-8
+        # doubling test on half of these samples; doubling reaches it
+        from scipy.linalg import fractional_matrix_power
+
+        spec = EnsembleSpec(dim=8, alpha_max=1.4, m=1.0, M=100.0, count=8, seed=1)
+        f = catalog("power", 0.3)
+        for i in range(spec.count):
+            A = random_sectorial(spec, i)
+            want = fractional_matrix_power(A, 0.3)
+            assert maxabs(apply_function(f, A) - want) <= 1e-12 * maxabs(want), f"sample {i}"
+
+    def test_pinned_order_returns_its_own_value(self, monkeypatch):
+        A = random_sectorial(EnsembleSpec(dim=4, alpha_max=1.2, m=1.0, M=100.0, count=1, seed=3), 0)
+        f = catalog("power", 0.3)
+        pinned = apply_function(f, A, order=4, check_convergence=False)
+        monkeypatch.setenv("AMM_QUAD_ORDER", "4")
+        np.testing.assert_array_equal(apply_function(f, A, check_convergence=False), pinned)
+        with pytest.raises(NumericFailureError, match="not converged at order 4"):
+            apply_function(f, A)
+        monkeypatch.delenv("AMM_QUAD_ORDER")
+        # unpinned, the same call chooses its own order and converges
+        assert maxabs(apply_function(f, A) - pinned) > 1e-6
+
+    def test_unconverged_at_max_order_raises(self):
+        # 1/(t + 1e-12) is all but singular at t = 0: no order up to 512
+        # integrates it, and each doubling evaluates only the new order
+        batches = []
+
+        def nodes_fn(ts):
+            batches.append(len(ts))
+            return (1.0 / (ts + 1e-12))[:, None, None] * np.eye(2)
+
+        measure = catalog("power", 0.5).measure
+        with pytest.raises(NumericFailureError, match="not converged at order 256"):
+            funcalc._integrate(measure, None, False, None, None, nodes_fn)
+        assert batches == [8 + 16, 32, 64, 128, 256, 512]
 
 
 class TestEnvOverride:

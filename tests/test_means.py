@@ -240,3 +240,52 @@ class TestConvergenceFailure:
         A, B = pair(4, 1.2, 3, M=100.0)
         with pytest.raises(NumericFailureError, match="not converged"):
             compute(A, B)
+
+
+class TestAdaptiveOrder:
+    def test_matches_pinned_max_order_at_wide_sector(self):
+        # at a fixed order of 80 all three sit 2.7e-10 from the order-512
+        # value, which the suite never saw; a chosen order must not
+        from amm.verify import _Sample
+
+        spec = EnsembleSpec(dim=4, alpha_max=1.2, m=1.0, M=100.0, count=2, seed=3)
+        A, B = random_sectorial(spec, 0), random_sectorial(spec, 1)
+        f = catalog("power", 0.3)
+
+        def close(X, Y):
+            return maxabs(X - Y) <= 1e-10 * (1 + maxabs(Y))
+
+        assert close(sigma_mean(A, B, f), sigma_mean(A, B, f, order=512))
+        assert close(geometric_mean(A, B, 0.3), geometric_mean(A, B, 0.3, order=512))
+        s = _Sample(spec, 0, "sigma_inner", f, None, None, None, "certified")
+        assert close(s.sigma(s.A, s.B), sigma_mean(s.A, s.B, f, order=512))
+
+    def test_hard_edge_pair_not_refused(self):
+        spec = EnsembleSpec(dim=8, alpha_max=1.4, m=1.0, M=100.0, count=8, seed=1)
+        A, B = random_sectorial(spec, 0), random_sectorial(spec, 1)
+        G = geometric_mean(A, B, 0.3)
+        N = geometric_neg(A, B, 0.3)
+        # A #_{-lam} B = A (A^-1 #_lam B^-1) A
+        assert maxabs(N - A @ geometric_mean(inverse(A), inverse(B), 0.3) @ A) <= 1e-8 * maxabs(N)
+        assert maxabs(G - geometric_mean(B, A, 0.7)) <= 1e-8 * maxabs(G)
+
+    def test_easy_operand_needs_few_solves(self, monkeypatch):
+        # n = 8, alpha = pi/6, M/m = 2: a fixed order 80 checked at 160
+        # inverted 242 (apply_function) and 244 (sigma_mean) matrices
+        from amm import funcalc
+
+        counted = []
+
+        def counting(stack):
+            counted.append(stack.shape[0])
+            return linalg.solve_stack(stack)
+
+        monkeypatch.setattr(funcalc, "solve_stack", counting)
+        monkeypatch.setattr(means, "solve_stack", counting)
+        A, B = pair(8, math.pi / 6, 5)
+        f = catalog("power", 0.3)
+        apply_function(f, A)
+        assert 0 < sum(counted) <= 64
+        counted.clear()
+        sigma_mean(A, B, f)
+        assert 0 < sum(counted) <= 64
