@@ -46,7 +46,7 @@ def read_matrix(path) -> np.ndarray:
         n = int(data["n"])
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed matrix file {path}: {exc}") from exc
     if re.shape != (n, n) or im.shape != (n, n):
         raise InvalidInputError(f"matrix file {path} arrays are not {n}x{n}")
@@ -171,7 +171,7 @@ def _item_from_config(entry: dict, position: int) -> verify.SuiteItem:
             )
         if entry.get("norm"):
             norm = NormKind.parse(entry["norm"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"config entry {position} ({check_id}): {exc!r}") from exc
     return verify.SuiteItem(check=check_id, spec=spec, f=f, g=g, phi=phi, norm=norm)
 
@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="suite config JSON file")
     p.add_argument("--default", action="store_true", help="run the full built-in catalog")
     p.add_argument("--report", help="output report JSON file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--samples", type=int, default=200,
                    help="samples per configuration for --default")
     p.add_argument("--timings", action="store_true",
@@ -276,7 +277,8 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ParameterError, InvalidInputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParameterError, InvalidInputError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericFailureError as exc:

@@ -6,10 +6,12 @@ measure nu_f on [0, 1] through which
     f(A) = integral over [0,1] of  I !_t A  d nu_f(t),
 
 where I !_t A = ((1-t) I + t A^{-1})^{-1} is the weighted harmonic mean with
-the identity.  The measure is represented as point atoms plus a Jacobi-type
-density t^e0 (1-t)^e1 and is integrated by Gauss-Jacobi rules matched to the
-endpoint exponents, built by Golub-Welsch, at an order doubled from 8 until
-the result settles (see _converged).  A Dunford contour integral over a circle in the right
+the identity: f(A) = I sigma_f A.  _sigma is the one kernel that integrates
+weighted harmonic means, here and in the means module.  The measure is
+represented as point atoms plus a Jacobi-type density t^e0 (1-t)^e1 and is
+integrated by Gauss-Jacobi rules matched to the endpoint exponents, built by
+Golub-Welsch, at an order doubled from 8 until the result settles (see
+_converged).  A Dunford contour integral over a circle in the right
 half-plane provides an independent second route to f(A); agreement of the
 two is the module's central cross-check.
 """
@@ -320,23 +322,6 @@ def standard_catalog() -> tuple[MonotoneFunction, ...]:
     )
 
 
-def harmonic_unit(t: float, A, validate: bool = True) -> np.ndarray:
-    """I !_t A = ((1-t) I + t A^{-1})^{-1}, with exact endpoints I and A."""
-    A = as_matrix(A)
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError(f"t must be in [0, 1], got {t}")
-    if validate:
-        require_accretive(A)
-    n = A.shape[0]
-    if t == 0.0:
-        return np.eye(n, dtype=np.complex128)
-    if t == 1.0:
-        return A.copy()
-    Ainv = solve_stack(A[None])[0]
-    M = (1.0 - t) * np.eye(n, dtype=np.complex128) + t * Ainv
-    return solve_stack(M[None])[0]
-
-
 def _measure_integral(measure: MeasureSpec, orders, endpoint0, endpoint1, nodes_fn) -> list:
     """Atoms + Gauss-Jacobi density terms of a matrix-valued integrand, per order.
 
@@ -382,16 +367,30 @@ def _integrate(measure: MeasureSpec, order, check, endpoint0, endpoint1, nodes_f
     return _converged(compute, order, check)
 
 
-def _apply_via_measure(f: MonotoneFunction, A: np.ndarray, order, check):
-    n = A.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    Ainv = solve_stack(A[None])[0]
+def _sigma(A: np.ndarray, B: np.ndarray, measure: MeasureSpec, order=None, check=True):
+    """(integral of A !_t B over the measure, the quadrature order taken).
+
+    A !_t B = ((1-t) A^{-1} + t B^{-1})^{-1}, exactly A and B at t = 0, 1.
+    sigma_mean is this at (A, B), f(A) at (I, A), and the weighted harmonic
+    mean at a single atom.  A and B come validated.
+    """
+    inv = solve_stack(np.stack([A, B]))
 
     def batch(ts):
-        stack = (1.0 - ts)[:, None, None] * eye + ts[:, None, None] * Ainv
+        stack = (1.0 - ts)[:, None, None] * inv[0] + ts[:, None, None] * inv[1]
         return solve_stack(stack)
 
-    return _integrate(f.measure, order, check, lambda: eye, lambda: A.copy(), batch)
+    return _integrate(measure, order, check, lambda: A.copy(), lambda: B.copy(), batch)
+
+
+def harmonic_unit(t: float, A, validate: bool = True) -> np.ndarray:
+    """I !_t A = ((1-t) I + t A^{-1})^{-1}, with exact endpoints I and A."""
+    A = as_matrix(A)
+    if not 0.0 <= t <= 1.0:
+        raise ParameterError(f"t must be in [0, 1], got {t}")
+    if validate:
+        require_accretive(A)
+    return _sigma(np.eye(A.shape[0], dtype=np.complex128), A, MeasureSpec(atoms=((t, 1.0),)))[0]
 
 
 def apply_function(
@@ -401,7 +400,7 @@ def apply_function(
     validate: bool = True,
     check_convergence: bool = True,
 ) -> np.ndarray:
-    """f(A) through the harmonic-mean integral of the representing measure.
+    """f(A) = I sigma_f A, the harmonic-mean integral of the measure at (I, A).
 
     With validate=True the input must be accretive and the result is checked
     to be accretive in turn.  Without a pinned order (order or
@@ -414,7 +413,8 @@ def apply_function(
     construction).
     """
     A = require_accretive(A) if validate else as_matrix(A)
-    F, _ = _apply_via_measure(f, A, order, check_convergence)
+    eye = np.eye(A.shape[0], dtype=np.complex128)
+    F, _ = _sigma(eye, A, f.measure, order, check_convergence)
     if validate:
         ok, margin = is_accretive(F)
         if not ok:

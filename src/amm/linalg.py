@@ -64,7 +64,8 @@ def lu_solve(A, B) -> np.ndarray:
     """Solve AX = B by partially pivoted LU.
 
     Raises SingularMatrixError carrying the failing pivot index when a
-    pivot falls below 1e-13 * max|A|.
+    pivot falls below 1e-13 * max|A|.  Public only: the package inverts
+    through solve_stack.
     """
     A = as_matrix(A)
     B = np.asarray(B, dtype=np.complex128)
@@ -82,7 +83,7 @@ def lu_solve(A, B) -> np.ndarray:
 
 
 def inverse(A) -> np.ndarray:
-    """A^{-1} via lu_solve(A, I)."""
+    """A^{-1} via lu_solve(A, I); public only, like lu_solve."""
     A = as_matrix(A)
     return lu_solve(A, np.eye(A.shape[0], dtype=np.complex128))
 
@@ -90,8 +91,8 @@ def inverse(A) -> np.ndarray:
 def solve_stack(stack: np.ndarray) -> np.ndarray:
     """Invert a (K, n, n) stack of matrices in one LAPACK sweep.
 
-    Internal hot-path helper for quadrature and contour sums; the public
-    single-matrix contract lives in lu_solve/inverse.
+    The package's one internal inversion path (one matrix is a stack of
+    one); lu_solve/inverse are the public contract with the pivot index.
     """
     try:
         return np.linalg.inv(stack)
@@ -209,9 +210,8 @@ def loewner_leq(X, Y) -> LoewnerVerdict:
             raise InvalidInputError("Loewner comparison needs Hermitian operands")
     Hx = (X + X.conj().T) / 2.0
     Hy = (Y + Y.conj().T) / 2.0
-    ex = np.linalg.eigvalsh(Hx)
-    ey = np.linalg.eigvalsh(Hy)
-    gap_min = float(np.linalg.eigvalsh(Hy - Hx)[0])
+    ex, ey, gap = np.linalg.eigvalsh(np.stack([Hx, Hy, Hy - Hx]))
+    gap_min = float(gap[0])
     scale = 1.0 + max(abs(ex[0]), abs(ex[-1])) + max(abs(ey[0]), abs(ey[-1]))
     margin = gap_min / scale
     return LoewnerVerdict(margin=margin, holds=margin >= -TAU_LOEWNER)
@@ -234,8 +234,7 @@ def principal_sqrt(A) -> np.ndarray:
     X = A.copy()
     Y = np.eye(n, dtype=np.complex128)
     for _ in range(100):
-        Xi = solve_stack(X[None])[0]
-        Yi = solve_stack(Y[None])[0]
+        Xi, Yi = solve_stack(np.stack([X, Y]))
         Xn = (X + Yi) / 2.0
         Yn = (Y + Xi) / 2.0
         step = maxabs(Xn - X)

@@ -1,11 +1,12 @@
 """Binary matrix means on accretive pairs.
 
-The weighted harmonic and arithmetic means are closed forms; every other
-mean sigma_f is the measure average of weighted harmonic means
+The arithmetic mean is a closed form; every other mean sigma_f is the
+measure average of weighted harmonic means
 
     A sigma_f B = integral over [0,1] of  A !_t B  d nu_f(t),
 
-which for f(z) = z^lam reproduces the weighted geometric mean.  The
+computed by funcalc._sigma (A !_t B itself is the single atom at t), which
+for f(z) = z^lam reproduces the weighted geometric mean.  The
 geometric mean is evaluated along three routes (measure integral,
 congruence through the principal square root, half-line integral) whose
 mutual agreement is enforced at 1e-8.  The routes are independent in their
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-from . import funcalc, linalg
+from . import funcalc
 from .errors import NumericFailureError, ParameterError
 from .funcalc import DensitySpec, MeasureSpec, MonotoneFunction, catalog, gauss_jacobi_rule
 from .linalg import as_matrix, maxabs, principal_sqrt, solve_stack
@@ -55,12 +56,7 @@ def harmonic_mean(A, B, t: float, validate: bool = True) -> np.ndarray:
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"t must be in [0, 1], got {t}")
     A, B = _operands(A, B, validate)
-    if t == 0.0:
-        return A.copy()
-    if t == 1.0:
-        return B.copy()
-    inv = solve_stack(np.stack([A, B]))
-    return solve_stack(((1.0 - t) * inv[0] + t * inv[1])[None])[0]
+    return funcalc._sigma(A, B, MeasureSpec(atoms=((t, 1.0),)))[0]
 
 
 def arithmetic_mean(A, B, t: float) -> np.ndarray:
@@ -72,18 +68,6 @@ def arithmetic_mean(A, B, t: float) -> np.ndarray:
     if A.shape != B.shape:
         raise ParameterError(f"operand shapes differ: {A.shape} vs {B.shape}")
     return (1.0 - t) * A + t * B
-
-
-def _sigma_integral(A, B, f: MonotoneFunction, order, check):
-    """(A sigma_f B, the quadrature order taken), as funcalc._integrate."""
-    inv = solve_stack(np.stack([A, B]))
-    Ainv, Binv = inv[0], inv[1]
-
-    def batch(ts):
-        stack = (1.0 - ts)[:, None, None] * Ainv + ts[:, None, None] * Binv
-        return solve_stack(stack)
-
-    return funcalc._integrate(f.measure, order, check, lambda: A.copy(), lambda: B.copy(), batch)
 
 
 def sigma_mean(
@@ -102,7 +86,15 @@ def sigma_mean(
     same demand.  Pure-atom measures are exact and skip both.
     """
     A, B = _operands(A, B, validate)
-    return _sigma_integral(A, B, f, order, check_convergence)[0]
+    return funcalc._sigma(A, B, f.measure, order, check_convergence)[0]
+
+
+def _congruence(A, B, f: MonotoneFunction, order):
+    """(S, F) = (A^{1/2}, f(A^{-1/2} B A^{-1/2})) of the congruence route."""
+    S = principal_sqrt(A)
+    Sinv = solve_stack(S[None])[0]
+    M = Sinv @ B @ Sinv
+    return S, funcalc.apply_function(f, M, order=order, validate=False, check_convergence=False)
 
 
 def congruence_sigma(
@@ -115,10 +107,7 @@ def congruence_sigma(
     for f still applies (with validation disabled).
     """
     A, B = _operands(A, B, validate)
-    S = principal_sqrt(A)
-    Sinv = linalg.inverse(S)
-    M = Sinv @ B @ Sinv
-    F = funcalc.apply_function(f, M, order=order, validate=False, check_convergence=False)
+    S, F = _congruence(A, B, f, order)
     return S @ F @ S
 
 
@@ -141,7 +130,7 @@ def _geometric_routes(A, B, lam: float, order, validate: bool, check: bool):
         raise ParameterError(f"lambda must be in (0, 1), got {lam}")
     A, B = _operands(A, B, validate)
     f = catalog("power", lam)
-    via_measure, order = _sigma_integral(A, B, f, order, check)
+    via_measure, order = funcalc._sigma(A, B, f.measure, order, check)
     via_congruence = congruence_sigma(A, B, f, order=order, validate=False)
     via_halfline = _geometric_halfline(A, B, lam, order)
     return via_measure, via_congruence, via_halfline
@@ -200,7 +189,7 @@ def drury_half(
         return solve_stack(stack) / (1.0 - u)[:, None, None]
 
     S, _ = funcalc._integrate(_ARCSINE, order, check_convergence, None, None, batch)
-    return linalg.inverse(S)
+    return solve_stack(S[None])[0]
 
 
 def geometric_neg(
@@ -227,11 +216,8 @@ def geometric_neg(
     J, order = funcalc._integrate(f.measure, order, False, None, None, batch)
     result = A @ J @ A
 
-    S = principal_sqrt(A)
-    Sinv = linalg.inverse(S)
-    M = Sinv @ B @ Sinv
-    F = funcalc.apply_function(f, M, order=order, validate=False, check_convergence=False)
-    other = S @ linalg.inverse(F) @ S
+    S, F = _congruence(A, B, f, order)
+    other = S @ solve_stack(F[None])[0] @ S
     dev = _rel_dev(result, other)
     if dev > 1e-8:
         raise NumericFailureError(f"sharp_(-lam) routes disagree by {dev:.3e}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -29,11 +28,11 @@ from .linalg import (
     TAU_EQ,
     TAU_LOEWNER,
     hermitian_part,
-    inverse,
     kyfan,
     loewner_leq,
     maxabs,
     opnorm,
+    solve_stack,
     uinorm,
 )
 from .maps import PositiveLinearMap, apply_map, is_unital, random_map
@@ -197,7 +196,7 @@ def _ev_kantorovich(c):
     # ((a, b) = (2, 1), f = z^0.3, g = z^0.5 gives 2^0.2 > K(1, 2)).
     Pf = apply_map(c.phi, _H(c.sigma(c.A, c.B, c.f)))
     Pg = apply_map(c.phi, _H(c.sigma(c.A, c.B, c.g)))
-    lhs = opnorm(Pf @ inverse(Pg))
+    lhs = opnorm(Pf @ solve_stack(Pg[None])[0])
     rhs = c.sec2**3 * kantorovich_constant(c.m, c.M)
     return _sm(lhs, rhs)
 
@@ -286,11 +285,13 @@ def _ev_har_sector_reverse(c):
 
 
 def _ev_inv_real(c):
-    return _lm(_H(inverse(c.A)), inverse(c.ReA))
+    Ainv, ReAinv = solve_stack(np.stack([c.A, c.ReA]))
+    return _lm(_H(Ainv), ReAinv)
 
 
 def _ev_inv_sector(c):
-    return _lm(inverse(c.ReA), c.sec2 * _H(inverse(c.A)))
+    Ainv, ReAinv = solve_stack(np.stack([c.A, c.ReA]))
+    return _lm(ReAinv, c.sec2 * _H(Ainv))
 
 
 def _ev_gumus_a(c):
@@ -606,15 +607,15 @@ class SuiteItem:
 
 
 def run_suite(items: list[SuiteItem], jobs: int = 1) -> list[CheckReport]:
-    """Run the items (possibly concurrently); reports come back in item order."""
-    def one(item: SuiteItem) -> CheckReport:
-        return run_check(item.check, item.spec, f=item.f, g=item.g,
-                         phi=item.phi, norm=item.norm, alpha_mode=item.alpha_mode)
+    """Run the items in order; jobs is accepted and has no effect.
 
-    if jobs <= 1:
-        return [one(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, items))
+    A thread pool only slowed the suite: its time is Python and tiny LAPACK calls.
+    """
+    return [
+        run_check(item.check, item.spec, f=item.f, g=item.g,
+                  phi=item.phi, norm=item.norm, alpha_mode=item.alpha_mode)
+        for item in items
+    ]
 
 
 DEFAULT_DIMS = (1, 2, 3, 5, 8)

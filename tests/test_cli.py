@@ -266,6 +266,31 @@ class TestSuite:
         assert "config entry 1" in capsys.readouterr().err
 
 
+class TestMalformedFiles:
+    MATRIX = b'{"n": 1, "re": [[1.0]], "im": [[0.0]]}'
+    CONFIG = b'{"checks": [{"id": "inv_real", "dim": 2, "count": 2, "seed": 1}]}'
+
+    @pytest.mark.parametrize("command, content", [
+        ("angle", b'{"n": 1e400, "re": [[1.0]], "im": [[0.0]]}'),
+        ("suite", CONFIG.replace(b'"dim": 2', b'"dim": 1e400')),
+        ("angle", b"\xff" + MATRIX),
+        ("suite", b"\xff" + CONFIG),
+        ("angle", None),
+    ], ids=["huge-n", "huge-dim", "non-utf8-matrix", "non-utf8-config", "directory"])
+    def test_exit_2(self, tmp_path, capsys, command, content):
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        if command == "angle":
+            argv = ["angle", "--a", str(path)]
+        else:
+            argv = ["suite", "--config", str(path), "--report", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        assert "invalid input:" in capsys.readouterr().err
+
+
 class TestEntry:
     def test_module_invocation(self, tmp_path):
         A = tmp_path / "a.json"

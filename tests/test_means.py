@@ -289,3 +289,43 @@ class TestAdaptiveOrder:
         counted.clear()
         sigma_mean(A, B, f)
         assert 0 < sum(counted) <= 64
+
+
+class TestOneKernel:
+    # the paper's definition f(A) = I sigma_f A, and I !_t A as a mean with I
+    @pytest.mark.parametrize("dim, alpha, M", [
+        (1, 0.0, 2.0), (3, math.pi / 6, 2.0), (5, math.pi / 3, 10.0), (8, 1.2, 100.0),
+    ])
+    def test_function_is_mean_with_identity(self, dim, alpha, M):
+        from amm.funcalc import harmonic_unit
+
+        A, _ = pair(dim, alpha, 21, M=M)
+        eye = np.eye(dim, dtype=complex)
+        for f in standard_catalog():
+            np.testing.assert_array_equal(apply_function(f, A), sigma_mean(eye, A, f))
+        for t in (0.0, 0.3, 0.5, 1.0):
+            np.testing.assert_array_equal(harmonic_unit(t, A), harmonic_mean(eye, A, t))
+
+
+class TestOneInversionPath:
+    def test_internal_callers_skip_scipy_lu(self, monkeypatch):
+        import scipy.linalg
+
+        from amm import verify
+        from amm.maps import random_map
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("internal code reached scipy.linalg.lu_factor")
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+        A, B = pair(3, math.pi / 6, 30)
+        f = catalog("power", 0.3)
+        geometric_mean(A, B, 0.3)
+        geometric_neg(A, B, 0.3)
+        drury_half(A, B)
+        congruence_sigma(A, B, f)
+        spec = EnsembleSpec(dim=3, alpha_max=0.5, m=1.0, M=2.0, count=3, seed=4)
+        kantorovich = {"f": f, "g": verify.matched_partner(f),
+                       "phi": random_map(3, 3, "pinching", 1)}
+        for check, kw in (("inv_real", {}), ("inv_sector", {}), ("kantorovich", kantorovich)):
+            assert verify.run_check(check, spec, **kw).passed
