@@ -271,7 +271,7 @@ class TestMalformedFiles:
     CONFIG = b'{"checks": [{"id": "inv_real", "dim": 2, "count": 2, "seed": 1}]}'
 
     @pytest.mark.parametrize("command, content", [
-        ("angle", b'{"n": 1e400, "re": [[1.0]], "im": [[0.0]]}'),
+        ("angle", MATRIX.replace(b'"n": 1', b'"n": 1e400')),
         ("suite", CONFIG.replace(b'"dim": 2', b'"dim": 1e400')),
         ("angle", b"\xff" + MATRIX),
         ("suite", b"\xff" + CONFIG),
