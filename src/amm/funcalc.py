@@ -11,9 +11,10 @@ weighted harmonic means, here and in the means module.  The measure is
 represented as point atoms plus a Jacobi-type density t^e0 (1-t)^e1 and is
 integrated by Gauss-Jacobi rules matched to the endpoint exponents, built by
 Golub-Welsch, at an order doubled from 8 until the result settles (see
-_converged).  A Dunford contour integral over a circle in the right
-half-plane provides an independent second route to f(A); agreement of the
-two is the module's central cross-check.
+_converged).  A Dunford contour integral provides an independent second
+route to f(A); its contour is an ellipse in the log plane w = log z fitted
+to the certified sector of A, with a node count fixed in advance (see
+choose_contour).  Agreement of the two is the module's central cross-check.
 """
 
 from __future__ import annotations
@@ -26,18 +27,19 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import beta
 
 from . import linalg
 from .errors import InvalidInputError, NumericFailureError, ParameterError
-from .linalg import as_matrix, hermitian_part, maxabs, solve_stack
-from .sector import is_accretive, require_accretive
+from .linalg import as_matrix, maxabs, solve_stack
+from .sector import certify, is_accretive, require_accretive
 
 DEFAULT_ORDER = None
 _START_ORDER = 8
 _MAX_ORDER = 512
 _DRIFT_TOL = 1e-8
+_CHUNK = 128
 
 
 def default_order() -> int | None:
@@ -144,13 +146,15 @@ class QuadratureRule:
 @lru_cache(maxsize=256)
 def _cached_rule(exp0: float, exp1: float, order: int) -> QuadratureRule:
     # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    # weight t^exp0 (1-t)^exp1, and the weights are mu0 times the squared
-    # first components of its eigenvectors.  The three-term recurrence is the
-    # one of the Jacobi polynomials on [-1, 1] for the weight (1-x)^a (1+x)^b
-    # with a = exp1, b = exp0, shifted to t = (1+x)/2.
+    # weight t^exp0 (1-t)^exp1.  The weights are the Christoffel numbers
+    # mu0 / sum_k p_k(x)^2 of the orthonormal polynomials p_k at the nodes
+    # (mu0 times the squared first eigenvector components, without the
+    # eigenvectors).  The three-term recurrence is the one of the Jacobi
+    # polynomials on [-1, 1] for the weight (1-x)^a (1+x)^b with a = exp1,
+    # b = exp0, shifted to t = (1+x)/2.
     a, b = exp1, exp0
     ab = a + b
-    k = np.arange(order, dtype=float)
+    k = np.arange(order + 1, dtype=float)
     s = 2.0 * k + ab
     with np.errstate(divide="ignore", invalid="ignore"):
         diag = (b * b - a * a) / (s * (s + 2.0))
@@ -158,12 +162,24 @@ def _cached_rule(exp0: float, exp1: float, order: int) -> QuadratureRule:
         # every power density, so the first entry takes its closed form
         offsq = 4.0 * k * (k + a) * (k + b) * (k + ab) / (s * s * (s + 1.0) * (s - 1.0))
     diag[0] = (b - a) / (ab + 2.0)
-    if order > 1:
-        offsq[1] = 4.0 * (1.0 + a) * (1.0 + b) / ((ab + 2.0) ** 2 * (ab + 3.0))
-    x, vectors = eigh_tridiagonal(diag, np.sqrt(offsq[1:]))
-    mu0 = beta(exp0 + 1.0, exp1 + 1.0)
-    nodes = (x + 1.0) / 2.0
-    weights = mu0 * vectors[0] ** 2
+    offsq[1] = 4.0 * (1.0 + a) * (1.0 + b) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    off = np.sqrt(offsq[1:])
+    # The computed nodes are off by about 1e-16, and near a singular endpoint
+    # the Christoffel function moves by order^2 times that, so one Newton
+    # step on p_order corrects each node and its weight to first order.  The
+    # recurrence runs in extended precision (where the platform has it): in
+    # double its own rounding moves the moments by up to 2e-14 at order 512.
+    x = eigvalsh_tridiagonal(diag[:order], off[:order - 1]).astype(np.longdouble)
+    zero = np.zeros(order, dtype=np.longdouble)
+    p_prev, p, dp_prev, dp, total, dtotal = zero, zero + 1.0, zero, zero, zero, zero
+    for j in range(order):
+        total, dtotal = total + p * p, dtotal + 2.0 * p * dp
+        u, prev = x - diag[j], off[j - 1] if j else 0.0
+        p_prev, p, dp_prev, dp = (p, (u * p - prev * p_prev) / off[j],
+                                  dp, (p + u * dp - prev * dp_prev) / off[j])
+    step = p / dp
+    nodes = ((x + 1.0 - step) / 2.0).astype(float)
+    weights = (beta(exp0 + 1.0, exp1 + 1.0) / (total - dtotal * step)).astype(float)
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
 
@@ -426,65 +442,76 @@ def apply_function(
 
 @dataclass(frozen=True)
 class DunfordContour:
-    """Circle center + radius exp(i theta), sampled at ``nodes`` points."""
+    """Ellipse w = c + d cos(theta - i eta) in the log plane w = log z.
 
-    center: float
-    radius: float
+    Its image z = exp(w) is a closed curve in C \\ (-inf, 0] while
+    d sinh(eta) < pi; ``nodes`` equispaced theta sample it.
+    """
+
+    c: float
+    d: float
+    eta: float
     nodes: int
 
 
 def choose_contour(A) -> DunfordContour:
-    """Circle in C \\ (-inf, 0] enclosing the spectrum of accretive A.
+    """Ellipse in the log plane around the numerical range of accretive A.
 
-    Center c = 1.05 max(R^2/m, 2m) and radius r = 1.02 sqrt(R^2 - 2cm + c^2)
-    with m = lambda_min(Re A), R = ||A||_op; every eigenvalue satisfies
-    |lambda - c| <= sqrt(R^2 - 2cm + c^2) since Re lambda >= m, |lambda| <= R.
-    If the 2% inflation would cross the cut, the radius is re-centered
-    halfway between the enclosing bound and c.  The node count is taken
-    large enough that the trapezoid rule's geometric error bound
-    max(bound/r, r/c)^N reaches 1e-12.
+    W(A) lies in {Re z >= m, |z| <= ||A||, |arg z| <= alpha} (m and alpha
+    from sector.certify), whose logarithm lies in the rectangle
+    [log m, log ||A||] x [-alpha, alpha] of center c and half-width h.  The
+    confocal ellipses c + d cos(theta - i eta) contain the rectangle from
+    eta_in on, where C = cosh^2 eta_in is the larger root of
+    d^2 C^2 - (d^2 + h^2 + alpha^2) C + h^2 = 0, and stay in |Im w| < pi,
+    where every catalog f is analytic, below d sinh eta_out = pi (Hale,
+    Higham & Trefethen, SIAM J. Numer. Anal. 46, 2008).  A scan over d
+    maximises eta_out - eta_in and the contour sits at the middle eta, so
+    the trapezoid rule's error decays like exp(-nodes (eta_out - eta_in) / 2)
+    (Trefethen & Weideman, SIAM Review 56, 2014); nodes is 10% above the
+    count where that reaches 1e-12, rounded up to a multiple of 8.
     """
-    A = require_accretive(A)
-    m = float(np.linalg.eigvalsh(hermitian_part(A))[0])
-    R = linalg.opnorm(A)
-    c = 1.05 * max(R * R / m, 2.0 * m)
-    bound = math.sqrt(max(R * R - 2.0 * c * m + c * c, 0.0))
-    r = 1.02 * bound
-    if r >= c:
-        r = 0.5 * (bound + c)
-        if not bound < r < c:
-            raise NumericFailureError(
-                "cannot enclose the spectrum while avoiding (-inf, 0]; "
-                f"conditioning R/m = {R / m:.3e} is too large"
-            )
-    rate = max(bound / r, r / c)
-    nodes = max(256, 16 * math.ceil(math.log(1e12) / -math.log(rate) / 16.0))
-    if nodes > 65536:
-        raise NumericFailureError("contour too tight: node count exceeds 65536")
-    return DunfordContour(center=c, radius=r, nodes=nodes)
+    cert = certify(A)
+    lo, hi = math.log(cert.m), math.log(linalg.opnorm(A))
+    c, h, a = (lo + hi) / 2.0, (hi - lo) / 2.0, cert.alpha
+    d = np.geomspace(1e-3, 1e3, 241) * max(h, a, 1e-3)
+    # the discriminant (d^2 + h^2 + a^2)^2 - 4 d^2 h^2, written without cancellation
+    disc = (d * d - h * h) ** 2 + a * a * (2.0 * (d * d + h * h) + a * a)
+    C = np.maximum((d * d + h * h + a * a + np.sqrt(disc)) / (2.0 * d * d), 1.0)
+    eta_in = np.arccosh(np.sqrt(C))
+    eta_out = np.arcsinh(math.pi / d)
+    k = int(np.argmax(eta_out - eta_in))
+    nodes = 8 * math.ceil(1.1 * 2.0 * math.log(1e12) / (eta_out[k] - eta_in[k]) / 8.0)
+    eta = float(eta_in[k] + eta_out[k]) / 2.0
+    return DunfordContour(c=c, d=float(d[k]), eta=eta, nodes=max(16, nodes))
 
 
 def dunford_apply(f: MonotoneFunction, A, contour: DunfordContour, validate: bool = True) -> np.ndarray:
     """f(A) = (1/2 pi i) * contour integral of f(z) (zI - A)^{-1} dz.
 
-    Trapezoid rule on the circle, exponentially convergent for analytic
-    integrands; the independent cross-check against apply_function.
+    On z = exp(c + d cos(theta - i eta)) the integrand is periodic and
+    analytic in theta, so the trapezoid rule converges geometrically; the
+    independent cross-check against apply_function.  The resolvents go
+    through solve_stack _CHUNK nodes at a time, so memory stays
+    O(_CHUNK n^2) whatever the node count.
     """
     A = require_accretive(A) if validate else as_matrix(A)
     if contour.nodes < 16:
         raise ParameterError("contour needs at least 16 nodes")
-    if not 0.0 < contour.radius < contour.center:
-        raise ParameterError("contour circle must avoid (-inf, 0]")
-    n = A.shape[0]
-    N = contour.nodes
-    theta = 2.0 * math.pi * np.arange(N) / N
-    ring = contour.radius * np.exp(1j * theta)
-    z = contour.center + ring
+    d, eta = contour.d, contour.eta
+    if not (d > 0.0 and eta > 0.0 and d * math.sinh(eta) < math.pi):
+        raise ParameterError("contour ellipse must stay in |Im log z| < pi")
+    n, N = A.shape[0], contour.nodes
+    phase = 2.0 * math.pi * np.arange(N) / N - 1j * eta
+    z = np.exp(contour.c + d * np.cos(phase))
     fz = np.asarray(f.scalar_form(z), dtype=np.complex128)
-    stack = z[:, None, None] * np.eye(n, dtype=np.complex128) - A
-    resolvents = solve_stack(stack)
-    weights = ring * fz / N
-    return np.einsum("k,kij->ij", weights, resolvents)
+    # dz = z w'(theta) dtheta with w' = -d sin(phase), and 2 pi / N per node over 2 pi i
+    weights = 1j * d * np.sin(phase) * z * fz / N
+    F = np.zeros((n, n), dtype=np.complex128)
+    eye = np.eye(n)
+    for k in range(0, N, _CHUNK):
+        resolvents = solve_stack(z[k:k + _CHUNK, None, None] * eye - A)
+        F += np.tensordot(weights[k:k + _CHUNK], resolvents, 1)
+    return F
 
 
 def scalar_eval(f: MonotoneFunction, z: complex) -> complex:

@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,19 +193,50 @@ class TestApplyFunction:
             apply_function(catalog("power", 0.5), np.array([[-1.0]]))
 
 
+def _assert_contour_shape(A, c):
+    """Every eigenvalue of A inside the contour, no node on (-inf, 0]."""
+    # exp maps the strip |Im w| < pi one-to-one onto C \ (-inf, 0], so a
+    # point lies inside the curve exp(ellipse) iff its log lies inside the ellipse
+    w = np.log(np.linalg.eigvals(A))
+    a, b = c.d * math.cosh(c.eta), c.d * math.sinh(c.eta)
+    assert np.all(((w.real - c.c) / a) ** 2 + (w.imag / b) ** 2 < 1.0)
+    theta = 2.0 * math.pi * np.arange(c.nodes) / c.nodes
+    z = np.exp(c.c + c.d * np.cos(theta - 1j * c.eta))
+    assert not np.any((z.imag == 0.0) & (z.real <= 0.0))
+    assert b < math.pi
+
+
 class TestDunford:
     def test_contour_encloses_spectrum(self):
         A = np.diag([1.0, 4.0]).astype(complex)
-        c = choose_contour(A)
-        assert c.center - c.radius > 0
-        for lam in (1.0, 4.0):
-            assert abs(lam - c.center) < c.radius
+        _assert_contour_shape(A, choose_contour(A))
+        spec = EnsembleSpec(dim=6, alpha_max=1.4, m=1.0, M=100.0, count=3, seed=17)
+        for i in range(3):
+            A = random_sectorial(spec, i)
+            _assert_contour_shape(A, choose_contour(A))
 
     def test_contour_identity(self):
         c = choose_contour(np.eye(2))
-        assert abs(1.0 - c.center) < c.radius
-        assert c.center - c.radius > 0
-        assert c.nodes >= 256
+        _assert_contour_shape(np.eye(2), c)
+        for f in standard_catalog():
+            F = dunford_apply(f, np.eye(2), c)
+            assert maxabs(F - np.eye(2)) <= 1e-12, str(f)
+
+    def test_chunked_memory_bounded(self):
+        # 16384 nodes at n = 64 would be a 1 GB stack of resolvents in one piece
+        spec = EnsembleSpec(dim=64, alpha_max=math.pi / 3, m=1.0, M=2.0, count=1, seed=5)
+        A = random_sectorial(spec, 0)
+        f = catalog("power", 0.5)
+        contour = choose_contour(A)
+        want = dunford_apply(f, A, contour)
+        tracemalloc.start()
+        try:
+            got = dunford_apply(f, A, dataclasses.replace(contour, nodes=16384))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert maxabs(got - want) <= 1e-10 * (1.0 + maxabs(want))
 
     def test_affine_exact(self):
         A = np.array([[2 + 1j, 0.4], [0.2, 3.0]])
