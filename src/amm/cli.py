@@ -69,11 +69,7 @@ def write_matrix(path, A: np.ndarray):
 
 
 def _build_function(name: str, param) -> funcalc.MonotoneFunction:
-    if name == "uniform":
-        return funcalc.catalog("uniform")
-    if param is None:
-        raise ParameterError(f"function {name!r} requires --param")
-    return funcalc.catalog(name, float(param))
+    return funcalc.catalog(name, None if param is None else float(param))
 
 
 def _cmd_compute(args) -> int:

@@ -6,8 +6,10 @@ measure nu_f on [0, 1] through which
     f(A) = integral over [0,1] of  I !_t A  d nu_f(t),
 
 where I !_t A = ((1-t) I + t A^{-1})^{-1} is the weighted harmonic mean with
-the identity: f(A) = I sigma_f A.  _sigma is the one kernel that integrates
-weighted harmonic means, here and in the means module.  The measure is
+the identity: f(A) = I sigma_f A.  _integrate is the one quadrature of the
+package: it integrates the resolvent ((1-t) P + t Q)^{-1} over a measure,
+which is the weighted harmonic mean P^{-1} !_t Q^{-1}, and _sigma, every
+mean of the means module and f(A) all go through it.  The measure is
 represented as point atoms plus a Jacobi-type density t^e0 (1-t)^e1 and is
 integrated by Gauss-Jacobi rules matched to the endpoint exponents, built by
 Golub-Welsch, at an order doubled from 8 until the result settles (see
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -35,25 +36,10 @@ from .errors import InvalidInputError, NumericFailureError, ParameterError
 from .linalg import as_matrix, maxabs, solve_stack
 from .sector import certify, is_accretive, require_accretive
 
-DEFAULT_ORDER = None
 _START_ORDER = 8
 _MAX_ORDER = 512
 _DRIFT_TOL = 1e-8
 _CHUNK = 128
-
-
-def default_order() -> int | None:
-    """Order pinned by AMM_QUAD_ORDER, or None: each call then chooses its own."""
-    raw = os.environ.get("AMM_QUAD_ORDER")
-    if raw is None:
-        return DEFAULT_ORDER
-    try:
-        order = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"AMM_QUAD_ORDER must be an integer, got {raw!r}") from exc
-    if not 2 <= order <= _MAX_ORDER:
-        raise ParameterError(f"AMM_QUAD_ORDER must be in [2, {_MAX_ORDER}], got {order}")
-    return order
 
 
 def _drift(X: np.ndarray, X2: np.ndarray) -> float:
@@ -72,17 +58,15 @@ def _converged(
     """A quadrature value and the order it was taken at.
 
     compute(orders) evaluates the quadrature at each of the given orders in
-    one batch.  A pinned order (an argument or AMM_QUAD_ORDER) is computed as
-    given and, when check is set, compared once against twice the order
-    (capped at _MAX_ORDER).  Otherwise the order is chosen by doubling from
-    _START_ORDER, whatever check says: orders 8 and 16 share one batch, and
-    the higher-order value is returned once doubling moves the result by at
-    most 1e-8 relative to its size.  A larger move raises
-    NumericFailureError, for an unpinned order once doubling reaches
-    _MAX_ORDER.
+    one batch.  A pinned order is computed as given and, when check is set,
+    compared once against twice the order (capped at _MAX_ORDER).
+    Otherwise the order is chosen by doubling from _START_ORDER, whatever
+    check says: orders 8 and 16 share one batch, and the higher-order value
+    is returned once doubling moves the result by at most 1e-8 relative to
+    its size.  A larger move raises NumericFailureError, for an unpinned
+    order once doubling reaches _MAX_ORDER.
     """
-    order = order or default_order()
-    if order is not None:
+    if order:
         if not check or order >= _MAX_ORDER:
             return compute((order,))[0], order
         X, X2 = compute((order, min(2 * order, _MAX_ORDER)))
@@ -198,7 +182,7 @@ def measure_mass(measure: MeasureSpec, order: int | None = None) -> float:
     mass = sum(w for _, w in measure.atoms)
     d = measure.density
     if d is not None:
-        rule = gauss_jacobi_rule(d.exp0, d.exp1, order or default_order() or _START_ORDER)
+        rule = gauss_jacobi_rule(d.exp0, d.exp1, order or _START_ORDER)
         mass += d.coeff * float(np.sum(rule.weights))
     return float(mass)
 
@@ -209,7 +193,7 @@ def measure_mean(measure: MeasureSpec, order: int | None = None) -> float:
     mean = sum(w * t for t, w in measure.atoms)
     d = measure.density
     if d is not None:
-        rule = gauss_jacobi_rule(d.exp0, d.exp1, order or default_order() or _START_ORDER)
+        rule = gauss_jacobi_rule(d.exp0, d.exp1, order or _START_ORDER)
         mean += d.coeff * float(np.dot(rule.weights, rule.nodes))
     return float(mean)
 
@@ -338,65 +322,54 @@ def standard_catalog() -> tuple[MonotoneFunction, ...]:
     )
 
 
-def _measure_integral(measure: MeasureSpec, orders, endpoint0, endpoint1, nodes_fn) -> list:
-    """Atoms + Gauss-Jacobi density terms of a matrix-valued integrand, per order.
+def _integrate(P, Q, measure: MeasureSpec, order=None, check=True, ends=None):
+    """(integral of ((1-t) P + t Q)^{-1} over the measure, the order taken).
 
-    Returns one value for each entry of orders.  The density nodes of all
-    the orders go to nodes_fn(ts) in one batch (an interior atom is a batch
-    of one); endpoint0/endpoint1 are the exact t = 0 / t = 1 limits.
-    Summation order is fixed (atoms in declaration order, then nodes by
-    index).
+    The one quadrature of the package.  The resolvents at the density nodes
+    of every order _converged asks for go to solve_stack in one batch (an
+    interior atom is a batch of one).  ends = (P^{-1}, Q^{-1}), when given,
+    are the exact values of atoms at t = 0 and t = 1.  Summation order is
+    fixed: atoms in declaration order, then nodes by index.  Pure-atom
+    measures are exact: they are evaluated once, unchecked, and report
+    order 0.
     """
+    def resolvents(ts):
+        return solve_stack((1.0 - ts)[:, None, None] * P + ts[:, None, None] * Q)
+
     total = None
     for t, w in measure.atoms:
-        if t == 0.0:
-            term = w * endpoint0()
-        elif t == 1.0:
-            term = w * endpoint1()
+        if ends is not None and t in (0.0, 1.0):
+            term = w * ends[int(t)]
         else:
-            term = w * nodes_fn(np.array([t]))[0]
+            term = w * resolvents(np.array([t]))[0]
         total = term if total is None else total + term
     d = measure.density
     if d is None:
-        return [total] * len(orders)
-    rules = [gauss_jacobi_rule(d.exp0, d.exp1, k) for k in orders]
-    stack = nodes_fn(np.concatenate([rule.nodes for rule in rules]))
-    values, start = [], 0
-    for rule in rules:
-        part = np.einsum("k,kij->ij", d.coeff * rule.weights, stack[start:start + rule.order])
-        values.append(part if total is None else total + part)
-        start += rule.order
-    return values
+        return total, 0
 
-
-def _integrate(measure: MeasureSpec, order, check, endpoint0, endpoint1, nodes_fn):
-    """_measure_integral at the order _converged takes; returns (value, order).
-
-    Pure-atom measures are exact: they are evaluated once, unchecked, and
-    report order 0.
-    """
     def compute(orders):
-        return _measure_integral(measure, orders, endpoint0, endpoint1, nodes_fn)
+        rules = [gauss_jacobi_rule(d.exp0, d.exp1, k) for k in orders]
+        stack = resolvents(np.concatenate([rule.nodes for rule in rules]))
+        values, start = [], 0
+        for rule in rules:
+            part = np.einsum("k,kij->ij", d.coeff * rule.weights, stack[start:start + rule.order])
+            values.append(part if total is None else total + part)
+            start += rule.order
+        return values
 
-    if measure.density is None:
-        return compute((0,))[0], 0
     return _converged(compute, order, check)
 
 
 def _sigma(A: np.ndarray, B: np.ndarray, measure: MeasureSpec, order=None, check=True):
     """(integral of A !_t B over the measure, the quadrature order taken).
 
-    A !_t B = ((1-t) A^{-1} + t B^{-1})^{-1}, exactly A and B at t = 0, 1.
-    sigma_mean is this at (A, B), f(A) at (I, A), and the weighted harmonic
-    mean at a single atom.  A and B come validated.
+    A !_t B = ((1-t) A^{-1} + t B^{-1})^{-1}, exactly A and B at t = 0, 1:
+    _integrate on the inverted pair.  sigma_mean is this at (A, B), f(A) at
+    (I, A), and the weighted harmonic mean at a single atom.  A and B come
+    validated.
     """
     inv = solve_stack(np.stack([A, B]))
-
-    def batch(ts):
-        stack = (1.0 - ts)[:, None, None] * inv[0] + ts[:, None, None] * inv[1]
-        return solve_stack(stack)
-
-    return _integrate(measure, order, check, lambda: A.copy(), lambda: B.copy(), batch)
+    return _integrate(inv[0], inv[1], measure, order, check, ends=(A, B))
 
 
 def harmonic_unit(t: float, A, validate: bool = True) -> np.ndarray:
@@ -419,11 +392,11 @@ def apply_function(
     """f(A) = I sigma_f A, the harmonic-mean integral of the measure at (I, A).
 
     With validate=True the input must be accretive and the result is checked
-    to be accretive in turn.  Without a pinned order (order or
-    AMM_QUAD_ORDER) the quadrature order is chosen by doubling until the
-    result moves by at most 1e-8 relative; a pinned order is used as given,
-    and check_convergence then reruns it at twice the order with the same
-    1e-8 demand.  Pure-atom measures are exact and skip both.
+    to be accretive in turn.  Without a pinned order the quadrature order
+    is chosen by doubling until the result moves by at most 1e-8 relative;
+    a pinned order is used as given, and check_convergence then reruns it
+    at twice the order with the same 1e-8 demand.  Pure-atom measures are
+    exact and skip both.
     validate=False additionally admits any matrix whose spectrum avoids
     (-inf, 0] (used by the congruence route, where that condition holds by
     construction).

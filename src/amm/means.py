@@ -6,17 +6,19 @@ measure average of weighted harmonic means
     A sigma_f B = integral over [0,1] of  A !_t B  d nu_f(t),
 
 computed by funcalc._sigma (A !_t B itself is the single atom at t), which
-for f(z) = z^lam reproduces the weighted geometric mean.  The
-geometric mean is evaluated along three routes (measure integral,
-congruence through the principal square root, half-line integral) whose
-mutual agreement is enforced at 1e-8.  The routes are independent in their
-algebra but not in their quadrature: all three evaluate
-((1-t) A^-1 + t B^-1)^-1 at the same Gauss-Jacobi nodes, so they share the
-quadrature error and agree even when the order is too low.  Only the
-doubling test sees that error.  Unless an order is pinned (an order
-argument or AMM_QUAD_ORDER), every integral here chooses its order by
-doubling from 8 until the result moves by at most 1e-8 relative, and the
-geometric routes all run at the order the measure route chose.
+for f(z) = z^lam reproduces the weighted geometric mean.  Every integral
+here, drury_half and geometric_neg included, is funcalc._integrate, the one
+quadrature of the package, on an inverted pair: ((1-t) P + t Q)^{-1} is
+P^{-1} !_t Q^{-1}.  The geometric mean is evaluated along three routes
+(measure integral, congruence through the principal square root, half-line
+integral) whose mutual agreement is enforced at 1e-8.  The routes are
+independent in their algebra but not in their quadrature: all three
+evaluate ((1-t) A^-1 + t B^-1)^-1 at the same Gauss-Jacobi nodes, so they
+share the quadrature error and agree even when the order is too low.  Only
+the doubling test sees that error.  Unless an order argument pins it, every
+integral here chooses its order by doubling from 8 until the result moves
+by at most 1e-8 relative, and the geometric routes all run at the order the
+measure route chose.
 """
 
 from __future__ import annotations
@@ -27,23 +29,23 @@ import numpy as np
 
 from . import funcalc
 from .errors import NumericFailureError, ParameterError
-from .funcalc import DensitySpec, MeasureSpec, MonotoneFunction, catalog, gauss_jacobi_rule
+from .funcalc import MeasureSpec, MonotoneFunction, catalog, gauss_jacobi_rule
 from .linalg import as_matrix, maxabs, principal_sqrt, solve_stack
 from .sector import require_accretive
 
 
-# the arcsine law 1/pi * u^-1/2 (1-u)^-1/2 du of Drury's half-line average
-_ARCSINE = MeasureSpec(density=DensitySpec(coeff=1.0 / math.pi, exp0=-0.5, exp1=-0.5))
+# the measure of z^(1/2): the arcsine law 1/pi * u^-1/2 (1-u)^-1/2 du
+_HALF = catalog("power", 0.5).measure
 
 
 def _operands(A, B, validate: bool):
-    """The operand pair as matrices; validate requires equal shapes and accretivity."""
+    """The operand pair as matrices of equal shape; validate requires accretivity."""
     A = as_matrix(A)
     B = as_matrix(B)
-    if not validate:
-        return A, B
     if A.shape != B.shape:
         raise ParameterError(f"operand shapes differ: {A.shape} vs {B.shape}")
+    if not validate:
+        return A, B
     return require_accretive(A, "A"), require_accretive(B, "B")
 
 
@@ -63,10 +65,7 @@ def arithmetic_mean(A, B, t: float) -> np.ndarray:
     """A nabla_t B = (1-t) A + t B."""
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"t must be in [0, 1], got {t}")
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape != B.shape:
-        raise ParameterError(f"operand shapes differ: {A.shape} vs {B.shape}")
+    A, B = _operands(A, B, validate=False)
     return (1.0 - t) * A + t * B
 
 
@@ -111,15 +110,14 @@ def congruence_sigma(
     return S @ F @ S
 
 
-def _geometric_halfline(A, B, lam: float, order: int) -> np.ndarray:
+def _geometric_halfline(Ainv, Binv, lam: float, order: int) -> np.ndarray:
     # sin(lam pi)/pi * integral over (0, inf) of s^(lam-1) (A^-1 + s B^-1)^-1 ds,
     # under s = t/(1-t); the Jacobi weight (lam-1, -lam) absorbs both endpoint
     # singularities and the integrand is evaluated in its half-line form.
     rule = gauss_jacobi_rule(lam - 1.0, -lam, order)
     t = rule.nodes
     s = t / (1.0 - t)
-    inv = solve_stack(np.stack([A, B]))
-    stack = inv[0][None, :, :] + s[:, None, None] * inv[1][None, :, :]
+    stack = Ainv[None, :, :] + s[:, None, None] * Binv[None, :, :]
     resolved = solve_stack(stack)
     weights = (math.sin(lam * math.pi) / math.pi) * rule.weights / (1.0 - t)
     return np.einsum("k,kij->ij", weights, resolved)
@@ -130,9 +128,11 @@ def _geometric_routes(A, B, lam: float, order, validate: bool, check: bool):
         raise ParameterError(f"lambda must be in (0, 1), got {lam}")
     A, B = _operands(A, B, validate)
     f = catalog("power", lam)
-    via_measure, order = funcalc._sigma(A, B, f.measure, order, check)
+    # the pair is inverted once, for the measure and the half-line route
+    Ainv, Binv = solve_stack(np.stack([A, B]))
+    via_measure, order = funcalc._integrate(Ainv, Binv, f.measure, order, check)
     via_congruence = congruence_sigma(A, B, f, order=order, validate=False)
-    via_halfline = _geometric_halfline(A, B, lam, order)
+    via_halfline = _geometric_halfline(Ainv, Binv, lam, order)
     return via_measure, via_congruence, via_halfline
 
 
@@ -176,19 +176,14 @@ def drury_half(
 ) -> np.ndarray:
     """A sharp B via the inverted half-line average (2/pi int (tA + B/t)^-1 dt/t)^-1.
 
-    The substitution u = t^2/(1+t^2) turns the average into an integral
-    against the arcsine law on [0, 1]; the final inversion recovers the
-    mean.  The order is chosen as in sigma_mean.  Agrees with
+    The substitution u = t^2/(1+t^2) turns the average into the integral of
+    ((1-u) B + u A)^-1 = B^-1 !_u A^-1 against the arcsine law on [0, 1],
+    which is the measure of z^(1/2); the final inversion recovers the mean.
+    The order is chosen as in sigma_mean.  Agrees with
     geometric_mean(A, B, 1/2) within 1e-7.
     """
     A, B = _operands(A, B, validate)
-
-    def batch(u):
-        ratio = u / (1.0 - u)
-        stack = B[None, :, :] + ratio[:, None, None] * A[None, :, :]
-        return solve_stack(stack) / (1.0 - u)[:, None, None]
-
-    S, _ = funcalc._integrate(_ARCSINE, order, check_convergence, None, None, batch)
+    S, _ = funcalc._integrate(B, A, _HALF, order, check_convergence)
     return solve_stack(S[None])[0]
 
 
@@ -209,11 +204,7 @@ def geometric_neg(
         raise ParameterError(f"lambda must be in (0, 1), got {lam}")
     A, B = _operands(A, B, validate)
     f = catalog("power", lam)
-
-    def batch(t):
-        return solve_stack((1.0 - t)[:, None, None] * A + t[:, None, None] * B)
-
-    J, order = funcalc._integrate(f.measure, order, False, None, None, batch)
+    J, order = funcalc._integrate(A, B, f.measure, order, False)
     result = A @ J @ A
 
     S, F = _congruence(A, B, f, order)

@@ -103,6 +103,12 @@ class TestCompute:
                      "--a", matrices["diag49"], "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    def test_uniform_param_exit_2(self, matrices, tmp_path):
+        # uniform takes no parameter, as catalog("uniform", 0.3) says
+        code = main(["compute", "--op", "func", "--fn", "uniform", "--param", "0.3",
+                     "--a", matrices["diag49"], "--out", str(tmp_path / "x.json")])
+        assert code == 2
+
 
 class TestAngle:
     def test_identity(self, matrices, capsys):
@@ -246,6 +252,14 @@ class TestSuite:
         ])
         assert main(["suite", "--config", cfg, "--report",
                      str(tmp_path / "r.json")]) == 0
+
+    def test_config_uniform_param(self, tmp_path):
+        entry = {"id": "real_superadditive", "dim": 2, "count": 2, "seed": 1}
+        report = tmp_path / "r.json"
+        null = suite_config(tmp_path, [{**entry, "function": {"name": "uniform", "param": None}}])
+        assert main(["suite", "--config", null, "--report", str(report)]) == 0
+        bad = suite_config(tmp_path, [{**entry, "function": {"name": "uniform", "param": 0.3}}])
+        assert main(["suite", "--config", bad, "--report", str(report)]) == 2
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["suite", "--report", str(tmp_path / "r.json")]) == 2

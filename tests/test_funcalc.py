@@ -20,7 +20,7 @@ from amm.funcalc import (
     scalar_eval,
     standard_catalog,
 )
-from amm.linalg import maxabs, opnorm
+from amm.linalg import maxabs, opnorm, solve_stack
 from amm.sector import EnsembleSpec, haar_unitary, random_sectorial
 
 
@@ -306,42 +306,28 @@ class TestAdaptiveOrder:
             want = fractional_matrix_power(A, 0.3)
             assert maxabs(apply_function(f, A) - want) <= 1e-12 * maxabs(want), f"sample {i}"
 
-    def test_pinned_order_returns_its_own_value(self, monkeypatch):
+    def test_pinned_order_returns_its_own_value(self):
         A = random_sectorial(EnsembleSpec(dim=4, alpha_max=1.2, m=1.0, M=100.0, count=1, seed=3), 0)
         f = catalog("power", 0.3)
         pinned = apply_function(f, A, order=4, check_convergence=False)
-        monkeypatch.setenv("AMM_QUAD_ORDER", "4")
-        np.testing.assert_array_equal(apply_function(f, A, check_convergence=False), pinned)
         with pytest.raises(NumericFailureError, match="not converged at order 4"):
-            apply_function(f, A)
-        monkeypatch.delenv("AMM_QUAD_ORDER")
+            apply_function(f, A, order=4)
         # unpinned, the same call chooses its own order and converges
         assert maxabs(apply_function(f, A) - pinned) > 1e-6
 
-    def test_unconverged_at_max_order_raises(self):
-        # 1/(t + 1e-12) is all but singular at t = 0: no order up to 512
-        # integrates it, and each doubling evaluates only the new order
+    def test_unconverged_at_max_order_raises(self, monkeypatch):
+        # ((1-t) 1e-12 + t (1 + 1e-12))^-1 = 1/(t + 1e-12) is all but singular
+        # at t = 0: no order up to 512 integrates it, and each doubling
+        # evaluates only the new order
         batches = []
 
-        def nodes_fn(ts):
-            batches.append(len(ts))
-            return (1.0 / (ts + 1e-12))[:, None, None] * np.eye(2)
+        def counting(stack):
+            batches.append(len(stack))
+            return solve_stack(stack)
 
+        monkeypatch.setattr(funcalc, "solve_stack", counting)
+        eye = np.eye(2, dtype=np.complex128)
         measure = catalog("power", 0.5).measure
         with pytest.raises(NumericFailureError, match="not converged at order 256"):
-            funcalc._integrate(measure, None, False, None, None, nodes_fn)
+            funcalc._integrate(1e-12 * eye, (1.0 + 1e-12) * eye, measure, None, False)
         assert batches == [8 + 16, 32, 64, 128, 256, 512]
-
-
-class TestEnvOverride:
-    def test_quad_order_env(self, monkeypatch):
-        monkeypatch.setenv("AMM_QUAD_ORDER", "40")
-        assert funcalc.default_order() == 40
-        monkeypatch.setenv("AMM_QUAD_ORDER", "banana")
-        with pytest.raises(ParameterError):
-            funcalc.default_order()
-        monkeypatch.setenv("AMM_QUAD_ORDER", "1")
-        with pytest.raises(ParameterError):
-            funcalc.default_order()
-        monkeypatch.delenv("AMM_QUAD_ORDER")
-        assert funcalc.default_order() == funcalc.DEFAULT_ORDER

@@ -63,6 +63,12 @@ class TestArithmetic:
         rhs = arithmetic_mean(hermitian_part(A), hermitian_part(B), 0.3)
         assert maxabs(lhs - rhs) <= 1e-15
 
+    def test_shape_mismatch_rejected_without_validation(self):
+        with pytest.raises(ParameterError, match="shapes differ"):
+            arithmetic_mean(np.eye(2), np.eye(3), 0.5)
+        with pytest.raises(ParameterError, match="shapes differ"):
+            sigma_mean(np.eye(2), np.eye(3), catalog("power", 0.5), validate=False)
+
 
 class TestSigma:
     def test_arithmetic_is_exact(self):
@@ -308,6 +314,22 @@ class TestOneKernel:
 
 
 class TestOneInversionPath:
+    def test_geometric_mean_inverts_the_pair_once(self, monkeypatch):
+        # the measure and half-line routes share the inverses of [A, B]
+        from amm import funcalc
+
+        A, B = pair(8, math.pi / 6, 30)
+        pair_stack, solve, stacks = np.stack([A, B]), linalg.solve_stack, []
+
+        def recording(stack):
+            stacks.append(np.array(stack))
+            return solve(stack)
+
+        for module in (linalg, funcalc, means):
+            monkeypatch.setattr(module, "solve_stack", recording)
+        geometric_mean(A, B, 0.3)
+        assert sum(np.array_equal(s, pair_stack) for s in stacks) == 1
+
     def test_internal_callers_skip_scipy_lu(self, monkeypatch):
         import scipy.linalg
 
