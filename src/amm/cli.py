@@ -167,7 +167,8 @@ def _item_from_config(entry: dict, position: int) -> verify.SuiteItem:
             )
         if entry.get("norm"):
             norm = NormKind.parse(entry["norm"])
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
+            ParameterError) as exc:
         raise ParameterError(f"config entry {position} ({check_id}): {exc!r}") from exc
     return verify.SuiteItem(check=check_id, spec=spec, f=f, g=g, phi=phi, norm=norm)
 

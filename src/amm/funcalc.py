@@ -176,24 +176,24 @@ def gauss_jacobi_rule(exp0: float, exp1: float, order: int) -> QuadratureRule:
     return _cached_rule(float(exp0), float(exp1), int(order))
 
 
-def measure_mass(measure: MeasureSpec, order: int | None = None) -> float:
+def measure_mass(measure: MeasureSpec) -> float:
     """Total mass of the measure (atom weights plus density integral)."""
     _validate_measure(measure)
     mass = sum(w for _, w in measure.atoms)
     d = measure.density
     if d is not None:
-        rule = gauss_jacobi_rule(d.exp0, d.exp1, order or _START_ORDER)
+        rule = gauss_jacobi_rule(d.exp0, d.exp1, _START_ORDER)
         mass += d.coeff * float(np.sum(rule.weights))
     return float(mass)
 
 
-def measure_mean(measure: MeasureSpec, order: int | None = None) -> float:
+def measure_mean(measure: MeasureSpec) -> float:
     """First moment of the measure; equals f'(1) for the represented f."""
     _validate_measure(measure)
     mean = sum(w * t for t, w in measure.atoms)
     d = measure.density
     if d is not None:
-        rule = gauss_jacobi_rule(d.exp0, d.exp1, order or _START_ORDER)
+        rule = gauss_jacobi_rule(d.exp0, d.exp1, _START_ORDER)
         mean += d.coeff * float(np.dot(rule.weights, rule.nodes))
     return float(mean)
 

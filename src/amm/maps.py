@@ -1,15 +1,16 @@
 """Positive linear maps between matrix algebras.
 
-Five generator variants cover the structural extremes the inequality
-catalog needs: compressions V*AV, Kraus sums, block pinchings, vector
-states and the normalized trace.  All preserve positivity and adjoints by
-construction; unitality is a property of the variant (Kraus maps may be
-deliberately scaled off unital).
+Every map is stored as Kraus factors, Phi(A) = sum_k V_k* A V_k, so it is
+completely positive and preserves adjoints by construction.  Six generator
+variants cover the structural extremes the inequality catalog needs:
+compressions V*AV, Kraus sums (unital or deliberately scaled off unital),
+block pinchings, vector states and the normalized trace.  Unitality is a
+property of the variant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +29,12 @@ VARIANTS = (
 
 @dataclass(frozen=True, eq=False)
 class PositiveLinearMap:
-    """A positive linear map Phi: M_n -> M_r of one of the generator kinds."""
+    """A completely positive map Phi: M_n -> M_r given by its Kraus factors."""
 
     variant: str
     dim_in: int
     dim_out: int
-    operators: tuple = field(default=())   # Kraus/compression factors
-    blocks: tuple = field(default=())      # pinching partition
-    vector: np.ndarray | None = None       # vector state
+    operators: tuple   # Kraus factors V_k, each dim_in x dim_out
 
     def __call__(self, A) -> np.ndarray:
         return apply_map(self, A)
@@ -45,30 +44,12 @@ class PositiveLinearMap:
 
 
 def apply_map(phi: PositiveLinearMap, A) -> np.ndarray:
-    """Evaluate Phi(A); Re Phi(A) = Phi(Re A) holds by construction."""
+    """Evaluate Phi(A) = sum_k V_k* A V_k; Re Phi(A) = Phi(Re A) holds by construction."""
     A = as_matrix(A)
     if A.shape[0] != phi.dim_in:
         raise ParameterError(f"map expects dimension {phi.dim_in}, got {A.shape[0]}")
-    if phi.variant == "compression":
-        V = phi.operators[0]
-        return V.conj().T @ A @ V
-    if phi.variant in ("kraus", "kraus_nonunital"):
-        out = np.zeros((phi.dim_out, phi.dim_out), dtype=np.complex128)
-        for V in phi.operators:
-            out += V.conj().T @ A @ V
-        return out
-    if phi.variant == "pinching":
-        out = np.zeros_like(A)
-        for block in phi.blocks:
-            idx = np.asarray(block)
-            out[np.ix_(idx, idx)] = A[np.ix_(idx, idx)]
-        return out
-    if phi.variant == "vector_state":
-        x = phi.vector
-        return np.array([[x.conj() @ A @ x]], dtype=np.complex128)
-    if phi.variant == "normalized_trace":
-        return np.array([[np.trace(A) / phi.dim_in]], dtype=np.complex128)
-    raise ParameterError(f"unknown map variant {phi.variant!r}")
+    V = np.asarray(phi.operators)
+    return (V.conj().swapaxes(1, 2) @ A @ V).sum(axis=0)
 
 
 def is_unital(phi: PositiveLinearMap) -> bool:
@@ -81,27 +62,22 @@ def is_unital(phi: PositiveLinearMap) -> bool:
 def random_map(dim_in: int, dim_out: int, variant: str, seed: int) -> PositiveLinearMap:
     """Seeded construction of one map variant.
 
-    compression draws V as orthonormal columns (QR of a Ginibre block);
-    kraus stacks two such blocks so the unitality sum telescopes to the
-    identity; kraus_nonunital rescales that construction; pinching splits
-    the index set into two contiguous blocks; vector_state draws a random
-    unit vector.
+    kraus splits orthonormal columns (QR of a Ginibre block) into two
+    factors so the unitality sum telescopes to the identity; compression
+    is the same construction with one factor; kraus_nonunital rescales the
+    kraus factors; pinching takes the diagonal projectors onto two
+    contiguous index blocks; vector_state draws a random unit vector x as
+    one factor; normalized_trace takes the columns e_i / sqrt(n).
     """
     if variant not in VARIANTS:
         raise ParameterError(f"unknown map variant {variant!r}")
     if dim_in < 1 or dim_out < 1:
         raise ParameterError("map dimensions must be positive")
     rng = np.random.default_rng((seed, 0x6D61, dim_in, dim_out))
-    if variant == "compression":
-        if dim_out > dim_in:
-            raise ParameterError("compression requires dim_out <= dim_in")
-        G = rng.standard_normal((dim_in, dim_out)) + 1j * rng.standard_normal((dim_in, dim_out))
-        V, _ = np.linalg.qr(G)
-        return PositiveLinearMap("compression", dim_in, dim_out, operators=(V,))
-    if variant in ("kraus", "kraus_nonunital"):
-        k = 2
+    if variant in ("compression", "kraus", "kraus_nonunital"):
+        k = 1 if variant == "compression" else 2
         if dim_out > k * dim_in:
-            raise ParameterError("kraus requires dim_out <= 2 * dim_in")
+            raise ParameterError(f"{variant} requires dim_out <= {k} * dim_in")
         G = rng.standard_normal((k * dim_in, dim_out)) + 1j * rng.standard_normal(
             (k * dim_in, dim_out)
         )
@@ -110,21 +86,18 @@ def random_map(dim_in: int, dim_out: int, variant: str, seed: int) -> PositiveLi
         if variant == "kraus_nonunital":
             scale = np.sqrt(rng.uniform(0.25, 0.75))
             ops = tuple(scale * V for V in ops)
-        return PositiveLinearMap(variant, dim_in, dim_out, operators=ops)
-    if variant == "pinching":
+    elif variant == "pinching":
         if dim_out != dim_in:
             raise ParameterError("pinching preserves the dimension")
-        half = (dim_in + 1) // 2
-        blocks = (tuple(range(half)),)
-        if half < dim_in:
-            blocks = blocks + (tuple(range(half, dim_in)),)
-        return PositiveLinearMap("pinching", dim_in, dim_out, blocks=blocks)
-    if variant == "vector_state":
+        first = np.arange(dim_in) < (dim_in + 1) // 2
+        ops = tuple(np.diag(block).astype(np.complex128) for block in (first, ~first)
+                    if block.any())
+    else:
         if dim_out != 1:
-            raise ParameterError("vector_state maps to 1x1 matrices")
-        x = rng.standard_normal(dim_in) + 1j * rng.standard_normal(dim_in)
-        x = x / np.linalg.norm(x)
-        return PositiveLinearMap("vector_state", dim_in, 1, vector=x)
-    if dim_out != 1:
-        raise ParameterError("normalized_trace maps to 1x1 matrices")
-    return PositiveLinearMap("normalized_trace", dim_in, 1)
+            raise ParameterError(f"{variant} maps to 1x1 matrices")
+        if variant == "vector_state":
+            x = rng.standard_normal(dim_in) + 1j * rng.standard_normal(dim_in)
+            ops = ((x / np.linalg.norm(x))[:, None],)
+        else:
+            ops = tuple(np.eye(dim_in, dtype=np.complex128)[:, :, None] / np.sqrt(dim_in))
+    return PositiveLinearMap(variant, dim_in, dim_out, operators=ops)

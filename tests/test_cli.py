@@ -280,6 +280,21 @@ class TestSuite:
         assert "config entry 1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field", [
+        {"function": {"name": "uniform", "param": 0.3}},
+        {"norm": "spectral"},
+        {"dim": 0},
+        {"map": {"variant": "haar"}},
+        {"alpha_max": 2.0},
+    ], ids=["function-param", "norm", "dim", "map-variant", "alpha"])
+    def test_rejected_parameter_names_position(self, tmp_path, capsys, field):
+        cfg = suite_config(tmp_path, [{"id": "choi_sector", "dim": 2, "count": 2,
+                                       "seed": 1, **field}])
+        code = main(["suite", "--config", cfg, "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "config entry 0 (" in capsys.readouterr().err
+
+
 class TestMalformedFiles:
     MATRIX = b'{"n": 1, "re": [[1.0]], "im": [[0.0]]}'
     CONFIG = b'{"checks": [{"id": "inv_real", "dim": 2, "count": 2, "seed": 1}]}'

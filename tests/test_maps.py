@@ -33,7 +33,7 @@ class TestApply:
     def test_vector_state_basis(self):
         x = np.zeros(2, dtype=complex)
         x[0] = 1.0
-        phi = maps.PositiveLinearMap("vector_state", 2, 1, vector=x)
+        phi = maps.PositiveLinearMap("vector_state", 2, 1, operators=(x[:, None],))
         np.testing.assert_allclose(apply_map(phi, np.diag([3.0, 5.0])), [[3.0]])
 
     def test_normalized_trace(self):
@@ -41,12 +41,17 @@ class TestApply:
         np.testing.assert_allclose(apply_map(phi, np.diag([1.0, 3.0])), [[2.0]])
 
     def test_pinching_blocks(self):
-        phi = map_for(4, "pinching")
-        A = np.arange(16, dtype=float).reshape(4, 4) + 0j
-        out = apply_map(phi, A)
-        np.testing.assert_allclose(out[:2, :2], A[:2, :2])
-        np.testing.assert_allclose(out[2:, 2:], A[2:, 2:])
-        np.testing.assert_allclose(out[:2, 2:], np.zeros((2, 2)))
+        rng = np.random.default_rng(31)
+        cases = [np.arange(16, dtype=float).reshape(4, 4) + 0j]
+        cases += [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                  for d in (1, 2, 5, 8)]
+        for A in cases:
+            dim = A.shape[0]
+            half = (dim + 1) // 2
+            expected = np.zeros_like(A)
+            expected[:half, :half] = A[:half, :half]
+            expected[half:, half:] = A[half:, half:]
+            np.testing.assert_array_equal(apply_map(map_for(dim, "pinching"), A), expected)
 
     def test_dimension_mismatch(self):
         phi = map_for(3, "compression")
@@ -98,6 +103,16 @@ class TestStructure:
         lhs = hermitian_part(apply_map(phi, A))
         rhs = apply_map(phi, hermitian_part(A))
         assert maxabs(lhs - rhs) <= 1e-13 * (1 + maxabs(A))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_complete_positivity(self, variant, dim):
+        # Choi: Phi is completely positive iff sum_ij E_ij (x) Phi(E_ij) >= 0
+        phi = map_for(dim, variant, seed=dim)
+        units = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
+        choi = np.block([[apply_map(phi, units[i, j]) for j in range(dim)]
+                         for i in range(dim)])
+        assert np.linalg.eigvalsh(choi)[0] >= -1e-12
 
     def test_determinism(self):
         a = random_map(4, 2, "compression", 77)
