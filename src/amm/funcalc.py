@@ -33,8 +33,8 @@ from scipy.special import beta
 
 from . import linalg
 from .errors import InvalidInputError, NumericFailureError, ParameterError
-from .linalg import as_matrix, maxabs, solve_stack
-from .sector import certify, is_accretive, require_accretive
+from .linalg import as_matrix, is_accretive, maxabs, require_accretive, solve_stack
+from .sector import certify
 
 _START_ORDER = 8
 _MAX_ORDER = 512
@@ -53,26 +53,20 @@ def _not_converged(order: int, drift: float) -> NumericFailureError:
 
 
 def _converged(
-    compute: Callable[[tuple[int, ...]], list], order: int | None = None, check: bool = True
+    compute: Callable[[tuple[int, ...]], list], order: int | None = None
 ) -> tuple[np.ndarray, int]:
     """A quadrature value and the order it was taken at.
 
     compute(orders) evaluates the quadrature at each of the given orders in
-    one batch.  A pinned order is computed as given and, when check is set,
-    compared once against twice the order (capped at _MAX_ORDER).
-    Otherwise the order is chosen by doubling from _START_ORDER, whatever
-    check says: orders 8 and 16 share one batch, and the higher-order value
-    is returned once doubling moves the result by at most 1e-8 relative to
-    its size.  A larger move raises NumericFailureError, for an unpinned
-    order once doubling reaches _MAX_ORDER.
+    one batch.  The order is chosen by doubling from _START_ORDER: orders 8
+    and 16 share one batch, and the higher-order value is returned once
+    doubling moves the result by at most 1e-8 relative to its size; a
+    larger move at _MAX_ORDER raises NumericFailureError.  A pinned order is
+    computed as given; only routes that must run at the nodes of an order
+    already chosen pin one.
     """
     if order:
-        if not check or order >= _MAX_ORDER:
-            return compute((order,))[0], order
-        X, X2 = compute((order, min(2 * order, _MAX_ORDER)))
-        if (drift := _drift(X, X2)) > _DRIFT_TOL:
-            raise _not_converged(order, drift)
-        return X, order
+        return compute((order,))[0], order
     order = 2 * _START_ORDER
     X, X2 = compute((_START_ORDER, order))
     while (drift := _drift(X, X2)) > _DRIFT_TOL:
@@ -322,7 +316,7 @@ def standard_catalog() -> tuple[MonotoneFunction, ...]:
     )
 
 
-def _integrate(P, Q, measure: MeasureSpec, order=None, check=True, ends=None):
+def _integrate(P, Q, measure: MeasureSpec, order=None, ends=None):
     """(integral of ((1-t) P + t Q)^{-1} over the measure, the order taken).
 
     The one quadrature of the package.  The resolvents at the density nodes
@@ -357,10 +351,10 @@ def _integrate(P, Q, measure: MeasureSpec, order=None, check=True, ends=None):
             start += rule.order
         return values
 
-    return _converged(compute, order, check)
+    return _converged(compute, order)
 
 
-def _sigma(A: np.ndarray, B: np.ndarray, measure: MeasureSpec, order=None, check=True):
+def _sigma(A: np.ndarray, B: np.ndarray, measure: MeasureSpec, order=None):
     """(integral of A !_t B over the measure, the quadrature order taken).
 
     A !_t B = ((1-t) A^{-1} + t B^{-1})^{-1}, exactly A and B at t = 0, 1:
@@ -369,7 +363,7 @@ def _sigma(A: np.ndarray, B: np.ndarray, measure: MeasureSpec, order=None, check
     validated.
     """
     inv = solve_stack(np.stack([A, B]))
-    return _integrate(inv[0], inv[1], measure, order, check, ends=(A, B))
+    return _integrate(inv[0], inv[1], measure, order, ends=(A, B))
 
 
 def harmonic_unit(t: float, A, validate: bool = True) -> np.ndarray:
@@ -382,28 +376,18 @@ def harmonic_unit(t: float, A, validate: bool = True) -> np.ndarray:
     return _sigma(np.eye(A.shape[0], dtype=np.complex128), A, MeasureSpec(atoms=((t, 1.0),)))[0]
 
 
-def apply_function(
-    f: MonotoneFunction,
-    A,
-    order: int | None = None,
-    validate: bool = True,
-    check_convergence: bool = True,
-) -> np.ndarray:
+def apply_function(f: MonotoneFunction, A, validate: bool = True) -> np.ndarray:
     """f(A) = I sigma_f A, the harmonic-mean integral of the measure at (I, A).
 
     With validate=True the input must be accretive and the result is checked
-    to be accretive in turn.  Without a pinned order the quadrature order
-    is chosen by doubling until the result moves by at most 1e-8 relative;
-    a pinned order is used as given, and check_convergence then reruns it
-    at twice the order with the same 1e-8 demand.  Pure-atom measures are
-    exact and skip both.
-    validate=False additionally admits any matrix whose spectrum avoids
-    (-inf, 0] (used by the congruence route, where that condition holds by
-    construction).
+    to be accretive in turn.  The quadrature order is chosen by doubling
+    until the result moves by at most 1e-8 relative (pure-atom measures are
+    exact and skip it).  validate=False also admits any matrix whose
+    spectrum avoids (-inf, 0], where the integral still converges.
     """
     A = require_accretive(A) if validate else as_matrix(A)
     eye = np.eye(A.shape[0], dtype=np.complex128)
-    F, _ = _sigma(eye, A, f.measure, order, check_convergence)
+    F, _ = _sigma(eye, A, f.measure)
     if validate:
         ok, margin = is_accretive(F)
         if not ok:

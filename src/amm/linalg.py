@@ -217,6 +217,28 @@ def loewner_leq(X, Y) -> LoewnerVerdict:
     return LoewnerVerdict(margin=margin, holds=margin >= -TAU_LOEWNER)
 
 
+def is_accretive(A) -> tuple[bool, float]:
+    """Whether Re A is positive definite, with a normalized margin.
+
+    margin = lambda_min(Re A) / (1 + ||A||_op); accretive iff the margin
+    exceeds the Loewner slack (strict positivity).  The package's one
+    accretivity predicate.
+    """
+    A = as_matrix(A)
+    lam_min = float(np.linalg.eigvalsh(hermitian_part(A))[0])
+    margin = lam_min / (1.0 + opnorm(A))
+    return margin > TAU_LOEWNER, margin
+
+
+def require_accretive(A, name: str = "matrix") -> np.ndarray:
+    """A as a complex matrix; PreconditionError naming ``name`` unless accretive."""
+    A = as_matrix(A)
+    ok, margin = is_accretive(A)
+    if not ok:
+        raise PreconditionError(f"{name} is not accretive (margin {margin:.3e})")
+    return A
+
+
 def principal_sqrt(A) -> np.ndarray:
     """Principal square root of an accretive matrix.
 
@@ -226,10 +248,7 @@ def principal_sqrt(A) -> np.ndarray:
     max|X^2 - A| <= 1e-9 * (1 + max|A|) and has spectrum in the open right
     half-plane.
     """
-    A = as_matrix(A)
-    re_min = float(np.linalg.eigvalsh(hermitian_part(A))[0])
-    if re_min / (1.0 + opnorm(A)) <= TAU_LOEWNER:
-        raise PreconditionError("principal_sqrt requires an accretive matrix")
+    A = require_accretive(A, "principal_sqrt operand")
     n = A.shape[0]
     X = A.copy()
     Y = np.eye(n, dtype=np.complex128)

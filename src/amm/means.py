@@ -11,11 +11,13 @@ here, drury_half and geometric_neg included, is funcalc._integrate, the one
 quadrature of the package, on an inverted pair: ((1-t) P + t Q)^{-1} is
 P^{-1} !_t Q^{-1}.  The geometric mean is evaluated along three routes
 (measure integral, congruence through the principal square root, half-line
-integral) whose mutual agreement is enforced at 1e-8.  The routes are
-independent in their algebra but not in their quadrature: all three
-evaluate ((1-t) A^-1 + t B^-1)^-1 at the same Gauss-Jacobi nodes, so they
-share the quadrature error and agree even when the order is too low.  Only
-the doubling test sees that error.  Unless an order argument pins it, every
+integral) whose mutual agreement is enforced at 1e-8.  Only the congruence
+route is independent in its algebra: with s = t/(1-t) the half-line term
+(A^-1 + s B^-1)^-1 / (1-t) is ((1-t) A^-1 + t B^-1)^-1, so its sum is the
+measure route's term by term.  Nor are the routes independent in their
+quadrature: all three evaluate ((1-t) A^-1 + t B^-1)^-1 at the same
+Gauss-Jacobi nodes, so they share the quadrature error and agree even when
+the order is too low.  Only the doubling test sees that error.  Every
 integral here chooses its order by doubling from 8 until the result moves
 by at most 1e-8 relative, and the geometric routes all run at the order the
 measure route chose.
@@ -30,8 +32,7 @@ import numpy as np
 from . import funcalc
 from .errors import NumericFailureError, ParameterError
 from .funcalc import MeasureSpec, MonotoneFunction, catalog, gauss_jacobi_rule
-from .linalg import as_matrix, maxabs, principal_sqrt, solve_stack
-from .sector import require_accretive
+from .linalg import as_matrix, maxabs, principal_sqrt, require_accretive, solve_stack
 
 
 # the measure of z^(1/2): the arcsine law 1/pi * u^-1/2 (1-u)^-1/2 du
@@ -69,44 +70,34 @@ def arithmetic_mean(A, B, t: float) -> np.ndarray:
     return (1.0 - t) * A + t * B
 
 
-def sigma_mean(
-    A,
-    B,
-    f: MonotoneFunction,
-    order: int | None = None,
-    validate: bool = True,
-    check_convergence: bool = True,
-) -> np.ndarray:
+def sigma_mean(A, B, f: MonotoneFunction, validate: bool = True) -> np.ndarray:
     """A sigma_f B as the measure average of weighted harmonic means.
 
-    Without a pinned order the quadrature order is chosen by doubling until
-    the result moves by at most 1e-8 relative; a pinned order is used as
-    given, and check_convergence then reruns it at twice the order with the
-    same demand.  Pure-atom measures are exact and skip both.
+    The quadrature order is chosen by doubling until the result moves by at
+    most 1e-8 relative; pure-atom measures are exact and skip it.
     """
     A, B = _operands(A, B, validate)
-    return funcalc._sigma(A, B, f.measure, order, check_convergence)[0]
+    return funcalc._sigma(A, B, f.measure)[0]
 
 
-def _congruence(A, B, f: MonotoneFunction, order):
-    """(S, F) = (A^{1/2}, f(A^{-1/2} B A^{-1/2})) of the congruence route."""
-    S = principal_sqrt(A)
-    Sinv = solve_stack(S[None])[0]
-    M = Sinv @ B @ Sinv
-    return S, funcalc.apply_function(f, M, order=order, validate=False, check_convergence=False)
-
-
-def congruence_sigma(
-    A, B, f: MonotoneFunction, order: int | None = None, validate: bool = True
-) -> np.ndarray:
-    """A sigma_f B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}.
+def _congruence(A, B, f: MonotoneFunction, order=None):
+    """(S, F) = (A^{1/2}, f(A^{-1/2} B A^{-1/2})) of the congruence route.
 
     The inner matrix is generally not accretive, but its spectrum avoids
     (-inf, 0] whenever A and B are accretive, so the harmonic-mean integral
-    for f still applies (with validation disabled).
+    for f still applies; a given order is used as is.
     """
+    S = principal_sqrt(A)
+    Sinv = solve_stack(S[None])[0]
+    M = Sinv @ B @ Sinv
+    eye = np.eye(M.shape[0], dtype=np.complex128)
+    return S, funcalc._sigma(eye, M, f.measure, order)[0]
+
+
+def congruence_sigma(A, B, f: MonotoneFunction, validate: bool = True) -> np.ndarray:
+    """A sigma_f B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}, order chosen as in sigma_mean."""
     A, B = _operands(A, B, validate)
-    S, F = _congruence(A, B, f, order)
+    S, F = _congruence(A, B, f)
     return S @ F @ S
 
 
@@ -123,57 +114,41 @@ def _geometric_halfline(Ainv, Binv, lam: float, order: int) -> np.ndarray:
     return np.einsum("k,kij->ij", weights, resolved)
 
 
-def _geometric_routes(A, B, lam: float, order, validate: bool, check: bool):
+def geometric_paths(A, B, lam: float, validate: bool = True):
+    """The three geometric-mean evaluations (measure, congruence, half-line).
+
+    The measure route chooses the order by doubling; the other two routes
+    run at it.
+    """
     if not 0.0 < lam < 1.0:
         raise ParameterError(f"lambda must be in (0, 1), got {lam}")
     A, B = _operands(A, B, validate)
     f = catalog("power", lam)
     # the pair is inverted once, for the measure and the half-line route
     Ainv, Binv = solve_stack(np.stack([A, B]))
-    via_measure, order = funcalc._integrate(Ainv, Binv, f.measure, order, check)
-    via_congruence = congruence_sigma(A, B, f, order=order, validate=False)
-    via_halfline = _geometric_halfline(Ainv, Binv, lam, order)
-    return via_measure, via_congruence, via_halfline
+    via_measure, order = funcalc._integrate(Ainv, Binv, f.measure)
+    S, F = _congruence(A, B, f, order)
+    return via_measure, S @ F @ S, _geometric_halfline(Ainv, Binv, lam, order)
 
 
-def geometric_paths(A, B, lam: float, order: int | None = None, validate: bool = True):
-    """The three geometric-mean evaluations (measure, congruence, half-line).
-
-    The measure route chooses the order by doubling unless one is pinned
-    (a pinned order goes unchecked here); the other two routes run at it.
-    """
-    return _geometric_routes(A, B, lam, order, validate, check=False)
-
-
-def geometric_mean(
-    A,
-    B,
-    lam: float,
-    order: int | None = None,
-    validate: bool = True,
-    check_convergence: bool = True,
-) -> np.ndarray:
+def geometric_mean(A, B, lam: float, validate: bool = True) -> np.ndarray:
     """A sharp_lam B, cross-validated along three routes.
 
     Returns the measure-integral value; any pairwise relative deviation
     beyond 1e-8 among the three routes raises NumericFailureError.  The
     routes share their quadrature nodes, so their agreement says nothing
-    about quadrature error.  That error is bounded by the measure route:
-    without a pinned order it doubles the order until the result moves by
-    at most 1e-8; a pinned order is rerun at twice the order when
-    check_convergence is set.  Either way a larger move raises
-    NumericFailureError.
+    about quadrature error.  That error is bounded by the measure route,
+    which doubles the order until the result moves by at most 1e-8 and
+    raises NumericFailureError when no order up to 512 gets there.
     """
-    Pa, Pb, Pc = _geometric_routes(A, B, lam, order, validate, check_convergence)
+    Pa, Pb, Pc = geometric_paths(A, B, lam, validate)
     worst = max(_rel_dev(Pa, Pb), _rel_dev(Pa, Pc), _rel_dev(Pb, Pc))
     if worst > 1e-8:
         raise NumericFailureError(f"geometric-mean paths disagree by {worst:.3e}")
     return Pa
 
 
-def drury_half(
-    A, B, order: int | None = None, validate: bool = True, check_convergence: bool = True
-) -> np.ndarray:
+def drury_half(A, B, validate: bool = True) -> np.ndarray:
     """A sharp B via the inverted half-line average (2/pi int (tA + B/t)^-1 dt/t)^-1.
 
     The substitution u = t^2/(1+t^2) turns the average into the integral of
@@ -183,28 +158,25 @@ def drury_half(
     geometric_mean(A, B, 1/2) within 1e-7.
     """
     A, B = _operands(A, B, validate)
-    S, _ = funcalc._integrate(B, A, _HALF, order, check_convergence)
+    S, _ = funcalc._integrate(B, A, _HALF)
     return solve_stack(S[None])[0]
 
 
-def geometric_neg(
-    A, B, lam: float, order: int | None = None, validate: bool = True
-) -> np.ndarray:
+def geometric_neg(A, B, lam: float, validate: bool = True) -> np.ndarray:
     """A sharp_{-lam} B for lam in (0, 1).
 
     Evaluates the sandwiched integral
     A { sin(lam pi)/pi int t^(lam-1) (1-t)^(-lam) (A^-1 !_t B^-1) dt } A
     (where A^-1 !_t B^-1 = ((1-t) A + t B)^-1 needs no pre-inversion) and
     cross-checks it against A^{1/2} (A^{-1/2} B A^{-1/2})^{-lam} A^{1/2}
-    within 1e-8.  Without a pinned order the integral chooses its order by
-    doubling, as in sigma_mean, and the cross-check runs at that order; a
-    pinned order is used as given.
+    within 1e-8.  The integral chooses its order by doubling, as in
+    sigma_mean, and the cross-check runs at that order.
     """
     if not 0.0 < lam < 1.0:
         raise ParameterError(f"lambda must be in (0, 1), got {lam}")
     A, B = _operands(A, B, validate)
     f = catalog("power", lam)
-    J, order = funcalc._integrate(A, B, f.measure, order, False)
+    J, order = funcalc._integrate(A, B, f.measure)
     result = A @ J @ A
 
     S, F = _congruence(A, B, f, order)

@@ -1,10 +1,11 @@
-"""Accretivity and sector certification, plus seeded random ensembles.
+"""Sector certification, plus seeded random ensembles.
 
 A matrix is accretive when its Hermitian part is positive definite; it is
 sectorial with half-angle alpha when its numerical range sits inside
 S_alpha = {z : Re z > 0, |Im z| <= tan(alpha) Re z}.  This module certifies
 (alpha, m, M) for a given matrix and generates reproducible ensembles with
-those quantities controlled exactly.
+those quantities controlled exactly.  The accretivity predicate
+(is_accretive, require_accretive) is linalg's, re-exported here.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .errors import ParameterError, PreconditionError
-from .linalg import as_matrix, hermitian_part, imaginary_part
+from .errors import ParameterError
+from .linalg import hermitian_part, imaginary_part, is_accretive, require_accretive  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -50,27 +50,6 @@ class EnsembleSpec:
             raise ParameterError(f"count must be >= 1, got {self.count}")
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must be a 64-bit unsigned integer")
-
-
-def is_accretive(A) -> tuple[bool, float]:
-    """Whether Re A is positive definite, with a normalized margin.
-
-    margin = lambda_min(Re A) / (1 + ||A||_op); accretive iff the margin
-    exceeds the Loewner slack (strict positivity).
-    """
-    A = as_matrix(A)
-    lam_min = float(np.linalg.eigvalsh(hermitian_part(A))[0])
-    margin = lam_min / (1.0 + linalg.opnorm(A))
-    return margin > linalg.TAU_LOEWNER, margin
-
-
-def require_accretive(A, name: str = "matrix") -> np.ndarray:
-    """A as a complex matrix; PreconditionError naming ``name`` unless accretive."""
-    A = as_matrix(A)
-    ok, margin = is_accretive(A)
-    if not ok:
-        raise PreconditionError(f"{name} is not accretive (margin {margin:.3e})")
-    return A
 
 
 def certify(A) -> SectorCertificate:

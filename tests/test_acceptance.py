@@ -67,8 +67,7 @@ class TestAcceptance:
                     dev = n * max(maxabs(Pa - Pb), maxabs(Pa - Pc), maxabs(Pb - Pc))
                     worst = max(worst, dev / scale)
                 half = geometric_paths(A, B, 0.5, validate=False)[0]
-                dd = n * maxabs(drury_half(A, B, validate=False,
-                                           check_convergence=False) - half)
+                dd = n * maxabs(drury_half(A, B, validate=False) - half)
                 worst_drury = max(worst_drury, dd / (1.0 + maxabs(half)))
         ok = worst <= 1e-8 and worst_drury <= 1e-7
         report("criterion 1: geometric-mean three-path agreement", ok,
@@ -85,7 +84,7 @@ class TestAcceptance:
                 A, _ = draw_pair(spec, i)
                 contour = choose_contour(A)
                 for f in functions:
-                    Fm = apply_function(f, A, check_convergence=False)
+                    Fm = apply_function(f, A)
                     Fd = dunford_apply(f, A, contour)
                     dev = opnorm(Fd - Fm) / (1.0 + opnorm(Fm))
                     worst = max(worst, dev)
@@ -166,8 +165,7 @@ class TestAcceptance:
             for re in res:
                 for im in ims:
                     z = complex(re, im)
-                    quad = apply_function(f, np.array([[z]]),
-                                          check_convergence=False)[0, 0]
+                    quad = apply_function(f, np.array([[z]]))[0, 0]
                     closed = scalar_eval(f, z)
                     worst = max(worst, abs(quad - closed))
         ok = worst <= 1e-9
@@ -210,12 +208,11 @@ class TestAcceptance:
                 lam = lams[i % len(lams)]
                 f = catalog("power", lam)
                 fr = catalog("power", 1.0 - lam)
-                S = sigma_mean(A, B, f, validate=False, check_convergence=False)
-                flip = sigma_mean(B, A, fr, validate=False, check_convergence=False)
+                S = sigma_mean(A, B, f, validate=False)
+                flip = sigma_mean(B, A, fr, validate=False)
                 scale = 1.0 + maxabs(S)
                 worst_flip = max(worst_flip, spec.dim * maxabs(S - flip) / scale)
-                Sinv = sigma_mean(inverse(A), inverse(B), f, validate=False,
-                                  check_convergence=False)
+                Sinv = sigma_mean(inverse(A), inverse(B), f, validate=False)
                 worst_inv = max(worst_inv,
                                 spec.dim * maxabs(inverse(S) - Sinv) / scale)
         ok = worst_flip <= 1e-8 and worst_inv <= 1e-8

@@ -309,9 +309,8 @@ class TestAdaptiveOrder:
     def test_pinned_order_returns_its_own_value(self):
         A = random_sectorial(EnsembleSpec(dim=4, alpha_max=1.2, m=1.0, M=100.0, count=1, seed=3), 0)
         f = catalog("power", 0.3)
-        pinned = apply_function(f, A, order=4, check_convergence=False)
-        with pytest.raises(NumericFailureError, match="not converged at order 4"):
-            apply_function(f, A, order=4)
+        pinned, order = funcalc._sigma(np.eye(4, dtype=np.complex128), A, f.measure, 4)
+        assert order == 4
         # unpinned, the same call chooses its own order and converges
         assert maxabs(apply_function(f, A) - pinned) > 1e-6
 
@@ -329,5 +328,5 @@ class TestAdaptiveOrder:
         eye = np.eye(2, dtype=np.complex128)
         measure = catalog("power", 0.5).measure
         with pytest.raises(NumericFailureError, match="not converged at order 256"):
-            funcalc._integrate(1e-12 * eye, (1.0 + 1e-12) * eye, measure, None, False)
+            funcalc._integrate(1e-12 * eye, (1.0 + 1e-12) * eye, measure)
         assert batches == [8 + 16, 32, 64, 128, 256, 512]

@@ -261,3 +261,22 @@ class TestPrincipalSqrt:
             linalg.principal_sqrt(np.array([[-1.0]]))
         with pytest.raises(PreconditionError):
             linalg.principal_sqrt(np.array([[1j]]))
+
+    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+    def test_same_verdict_as_require_accretive(self, factor):
+        # A normal with eigenvalues c(1 + i/2), 1 + i/2, 0.8: ||A||_op = |1 + i/2|
+        # and lambda_min(Re A) = c, so the margin is factor * TAU_LOEWNER
+        rng = np.random.default_rng(4)
+        U, _ = np.linalg.qr(rand_complex(rng, 3))
+        c = factor * linalg.TAU_LOEWNER * (1.0 + abs(1 + 0.5j))
+        A = U @ np.diag([c * (1 + 0.5j), 1 + 0.5j, 0.8]) @ U.conj().T
+        assert linalg.is_accretive(A)[0] == (factor > 1.0)
+
+        def accepts(guarded):
+            try:
+                guarded(A)
+            except PreconditionError:
+                return False
+            return True
+
+        assert accepts(linalg.principal_sqrt) == accepts(linalg.require_accretive) == (factor > 1.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from amm import linalg, means
+from amm import funcalc, linalg, means
 from amm.errors import NumericFailureError, ParameterError, PreconditionError
 from amm.funcalc import apply_function, catalog, standard_catalog
 from amm.linalg import hermitian_part, inverse, loewner_leq, maxabs, opnorm
@@ -234,17 +234,19 @@ class TestScalarSigma:
 
 
 class TestConvergenceFailure:
-    # a wide sector with M/m = 100 at order 4: doubling the order moves each
-    # result by 1e-5 or more, so each routine must refuse instead of return
+    # a wide sector with M/m = 100 and the order cap lowered to 16: doubling
+    # from 8 to 16 still moves each result by more than 1e-8, so each public
+    # routine must refuse at the cap instead of return
     @pytest.mark.parametrize("compute", [
-        lambda A, B: apply_function(catalog("power", 0.3), A, order=4),
-        lambda A, B: sigma_mean(A, B, catalog("uniform"), order=4),
-        lambda A, B: geometric_mean(A, B, 0.3, order=4),
-        lambda A, B: drury_half(A, B, order=4),
+        lambda A, B: apply_function(catalog("power", 0.3), A),
+        lambda A, B: sigma_mean(A, B, catalog("uniform")),
+        lambda A, B: geometric_mean(A, B, 0.3),
+        lambda A, B: drury_half(A, B),
     ], ids=["apply_function", "sigma_mean", "geometric_mean", "drury_half"])
-    def test_doubling_drift_raises(self, compute):
-        A, B = pair(4, 1.2, 3, M=100.0)
-        with pytest.raises(NumericFailureError, match="not converged"):
+    def test_doubling_drift_raises(self, compute, monkeypatch):
+        monkeypatch.setattr(funcalc, "_MAX_ORDER", 16)
+        A, B = pair(4, 1.4, 3, M=100.0)
+        with pytest.raises(NumericFailureError, match="not converged at order 8"):
             compute(A, B)
 
 
@@ -261,10 +263,13 @@ class TestAdaptiveOrder:
         def close(X, Y):
             return maxabs(X - Y) <= 1e-10 * (1 + maxabs(Y))
 
-        assert close(sigma_mean(A, B, f), sigma_mean(A, B, f, order=512))
-        assert close(geometric_mean(A, B, 0.3), geometric_mean(A, B, 0.3, order=512))
+        def at_512(X, Y):
+            return funcalc._sigma(X, Y, f.measure, 512)[0]
+
+        assert close(sigma_mean(A, B, f), at_512(A, B))
+        assert close(geometric_mean(A, B, 0.3), at_512(A, B))
         s = _Sample(spec, 0, "sigma_inner", f, None, None, None, "certified")
-        assert close(s.sigma(s.A, s.B), sigma_mean(s.A, s.B, f, order=512))
+        assert close(s.sigma(s.A, s.B), at_512(s.A, s.B))
 
     def test_hard_edge_pair_not_refused(self):
         spec = EnsembleSpec(dim=8, alpha_max=1.4, m=1.0, M=100.0, count=8, seed=1)
