@@ -196,7 +196,7 @@ def _cmd_suite(args) -> int:
         items = [_item_from_config(entry, i) for i, entry in enumerate(entries)]
     else:
         raise ParameterError("suite requires --config FILE or --default")
-    reports = verify.run_suite(items, jobs=args.jobs)
+    reports = verify.run_suite(items)
     payload = _report_payload(reports, with_timing=args.timings)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -9,29 +9,25 @@ computed by funcalc._sigma (A !_t B itself is the single atom at t), which
 for f(z) = z^lam reproduces the weighted geometric mean.  Every integral
 here, drury_half and geometric_neg included, is funcalc._integrate, the one
 quadrature of the package, on an inverted pair: ((1-t) P + t Q)^{-1} is
-P^{-1} !_t Q^{-1}.  The geometric mean is evaluated along three routes
-(measure integral, congruence through the principal square root, half-line
-integral) whose mutual agreement is enforced at 1e-8.  Only the congruence
-route is independent in its algebra: with s = t/(1-t) the half-line term
-(A^-1 + s B^-1)^-1 / (1-t) is ((1-t) A^-1 + t B^-1)^-1, so its sum is the
-measure route's term by term.  Nor are the routes independent in their
-quadrature: all three evaluate ((1-t) A^-1 + t B^-1)^-1 at the same
-Gauss-Jacobi nodes, so they share the quadrature error and agree even when
-the order is too low.  Only the doubling test sees that error.  Every
-integral here chooses its order by doubling from 8 until the result moves
-by at most 1e-8 relative, and the geometric routes all run at the order the
-measure route chose.
+P^{-1} !_t Q^{-1}.  Every integral chooses its order by doubling from 8
+until the result moves by at most 1e-8 relative.  The geometric mean is
+evaluated along three routes whose mutual agreement is enforced at 1e-8:
+the measure integral, the congruence through the principal square root, and
+homogeneity, A #_lam B = 2^-lam (A #_lam 2B) (Kubo-Ando).  The homogeneity
+route integrates the pencil with its eigenvalues doubled, which moves its
+Gauss-Jacobi nodes to t = u/(2-u) in the measure route's variable, so its
+quadrature error differs from the measure route's and a too-low order shows
+as disagreement.  The congruence route checks the algebra; both run at the
+order the measure route chose.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from . import funcalc
 from .errors import NumericFailureError, ParameterError
-from .funcalc import MeasureSpec, MonotoneFunction, catalog, gauss_jacobi_rule
+from .funcalc import MeasureSpec, MonotoneFunction, catalog
 from .linalg import as_matrix, maxabs, principal_sqrt, require_accretive, solve_stack
 
 
@@ -101,34 +97,23 @@ def congruence_sigma(A, B, f: MonotoneFunction, validate: bool = True) -> np.nda
     return S @ F @ S
 
 
-def _geometric_halfline(Ainv, Binv, lam: float, order: int) -> np.ndarray:
-    # sin(lam pi)/pi * integral over (0, inf) of s^(lam-1) (A^-1 + s B^-1)^-1 ds,
-    # under s = t/(1-t); the Jacobi weight (lam-1, -lam) absorbs both endpoint
-    # singularities and the integrand is evaluated in its half-line form.
-    rule = gauss_jacobi_rule(lam - 1.0, -lam, order)
-    t = rule.nodes
-    s = t / (1.0 - t)
-    stack = Ainv[None, :, :] + s[:, None, None] * Binv[None, :, :]
-    resolved = solve_stack(stack)
-    weights = (math.sin(lam * math.pi) / math.pi) * rule.weights / (1.0 - t)
-    return np.einsum("k,kij->ij", weights, resolved)
-
-
 def geometric_paths(A, B, lam: float, validate: bool = True):
-    """The three geometric-mean evaluations (measure, congruence, half-line).
+    """The three geometric-mean evaluations (measure, congruence, homogeneity).
 
     The measure route chooses the order by doubling; the other two routes
-    run at it.
+    run at it.  The homogeneity route is 2^-lam (A #_lam 2B) at that order,
+    whose nodes sit elsewhere on the pencil.
     """
     if not 0.0 < lam < 1.0:
         raise ParameterError(f"lambda must be in (0, 1), got {lam}")
     A, B = _operands(A, B, validate)
     f = catalog("power", lam)
-    # the pair is inverted once, for the measure and the half-line route
+    # the pair is inverted once, for the measure and the homogeneity route
     Ainv, Binv = solve_stack(np.stack([A, B]))
     via_measure, order = funcalc._integrate(Ainv, Binv, f.measure)
     S, F = _congruence(A, B, f, order)
-    return via_measure, S @ F @ S, _geometric_halfline(Ainv, Binv, lam, order)
+    via_homogeneity = 2.0 ** -lam * funcalc._integrate(Ainv, Binv / 2.0, f.measure, order)[0]
+    return via_measure, S @ F @ S, via_homogeneity
 
 
 def geometric_mean(A, B, lam: float, validate: bool = True) -> np.ndarray:
@@ -136,10 +121,10 @@ def geometric_mean(A, B, lam: float, validate: bool = True) -> np.ndarray:
 
     Returns the measure-integral value; any pairwise relative deviation
     beyond 1e-8 among the three routes raises NumericFailureError.  The
-    routes share their quadrature nodes, so their agreement says nothing
-    about quadrature error.  That error is bounded by the measure route,
-    which doubles the order until the result moves by at most 1e-8 and
-    raises NumericFailureError when no order up to 512 gets there.
+    measure route doubles the order until the result moves by at most 1e-8
+    and raises NumericFailureError when no order up to 512 gets there; the
+    homogeneity route, at the same order but other nodes of the pencil,
+    catches an order that settled too early.
     """
     Pa, Pb, Pc = geometric_paths(A, B, lam, validate)
     worst = max(_rel_dev(Pa, Pb), _rel_dev(Pa, Pc), _rel_dev(Pb, Pc))

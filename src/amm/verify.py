@@ -606,8 +606,8 @@ class SuiteItem:
     alpha_mode: str = "certified"
 
 
-def run_suite(items: list[SuiteItem], jobs: int = 1) -> list[CheckReport]:
-    """Run the items in order; jobs is accepted and has no effect.
+def run_suite(items: list[SuiteItem]) -> list[CheckReport]:
+    """Run the items in order, one after another.
 
     A thread pool only slowed the suite: its time is Python and tiny LAPACK calls.
     """

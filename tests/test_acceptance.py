@@ -52,7 +52,7 @@ def draw_pair(spec, index):
 
 class TestAcceptance:
     def test_criterion_1_geometric_three_path(self):
-        """Measure, congruence and half-line routes agree to 1e-8; the
+        """Measure, congruence and homogeneity routes agree to 1e-8; the
         inverted half-line average tracks the half-weight value to 1e-7."""
         lams = (0.1, 0.25, 0.5, 0.75, 0.9)
         worst = 0.0

@@ -154,6 +154,31 @@ class TestGeometric:
         with pytest.raises(ParameterError):
             geometric_mean(np.eye(2), np.eye(2), 1.0)
 
+    # Kubo-Ando homogeneity: A #_lam (cB) = c^lam (A #_lam B)
+    @pytest.mark.parametrize("dim, alpha, M", [
+        (1, 0.0, 2.0), (3, math.pi / 6, 2.0), (5, math.pi / 3, 10.0), (8, 1.2, 100.0),
+    ])
+    def test_homogeneity(self, dim, alpha, M):
+        A, B = pair(dim, alpha, 25, M=M)
+        for lam in (0.3, 0.7):
+            G = geometric_mean(A, B, lam)
+            for c in (3.0, 0.3):
+                scaled = geometric_mean(A, c * B, lam)
+                assert maxabs(scaled - c ** lam * G) <= 1e-8 * maxabs(scaled)
+
+    def test_too_low_order_disagrees(self, monkeypatch):
+        # every quadrature pinned to order 4: the measure route is 1.2e-4 off
+        # here, and the homogeneity route, at other nodes of the pencil,
+        # must show it although the congruence route agrees to rounding
+        converged = funcalc._converged
+        monkeypatch.setattr(funcalc, "_converged",
+                            lambda compute, order=None: converged(compute, 4))
+        A, B = pair(4, 1.2, 3, M=100.0)
+        via_measure, _, via_homogeneity = geometric_paths(A, B, 0.3)
+        assert maxabs(via_measure - via_homogeneity) > 1e-8 * (1 + maxabs(via_measure))
+        with pytest.raises(NumericFailureError, match="paths disagree"):
+            geometric_mean(A, B, 0.3)
+
 
 class TestDrury:
     def test_equal_operands(self):
@@ -320,7 +345,7 @@ class TestOneKernel:
 
 class TestOneInversionPath:
     def test_geometric_mean_inverts_the_pair_once(self, monkeypatch):
-        # the measure and half-line routes share the inverses of [A, B]
+        # the measure and homogeneity routes share the inverses of [A, B]
         from amm import funcalc
 
         A, B = pair(8, math.pi / 6, 30)

@@ -6,7 +6,6 @@ import pytest
 from amm import verify
 from amm.errors import ParameterError
 from amm.funcalc import catalog
-from amm.linalg import OPERATOR
 from amm.maps import random_map
 from amm.sector import EnsembleSpec
 from amm.verify import (
@@ -177,23 +176,6 @@ class TestRunSuite:
         items = [SuiteItem(check="inv_real", spec=small_spec(count=5))]
         reports = run_suite(items)
         assert len(reports) == 1 and reports[0].check == "inv_real"
-
-    def test_jobs_do_not_change_reports(self):
-        items = [
-            SuiteItem(check="inv_real", spec=small_spec(count=8)),
-            SuiteItem(check="har_real_super", spec=small_spec(count=8)),
-            SuiteItem(check="norm_real_sandwich", spec=small_spec(count=8),
-                      norm=OPERATOR),
-            SuiteItem(check="pos_ab_norm", spec=small_spec(count=8, alpha=0.0),
-                      norm=OPERATOR),
-        ]
-        seq = run_suite(items, jobs=1)
-        par = run_suite(items, jobs=4)
-        for a, b in zip(seq, par):
-            assert a.check == b.check
-            assert a.min_margin == b.min_margin
-            assert a.worst_index == b.worst_index
-            assert a.passed == b.passed
 
 
 class TestDefaultSuite:
