@@ -33,7 +33,7 @@ from scipy.special import beta
 
 from . import linalg
 from .errors import InvalidInputError, NumericFailureError, ParameterError
-from .linalg import as_matrix, is_accretive, maxabs, require_accretive, solve_stack
+from .linalg import is_accretive, maxabs, require_accretive, solve_stack
 from .sector import certify
 
 _START_ORDER = 8
@@ -360,40 +360,36 @@ def _sigma(A: np.ndarray, B: np.ndarray, measure: MeasureSpec, order=None):
     A !_t B = ((1-t) A^{-1} + t B^{-1})^{-1}, exactly A and B at t = 0, 1:
     _integrate on the inverted pair.  sigma_mean is this at (A, B), f(A) at
     (I, A), and the weighted harmonic mean at a single atom.  A and B come
-    validated.
+    accretive: checked by the public means and f(A), or accretive by
+    construction in the suite engine.
     """
     inv = solve_stack(np.stack([A, B]))
     return _integrate(inv[0], inv[1], measure, order, ends=(A, B))
 
 
-def harmonic_unit(t: float, A, validate: bool = True) -> np.ndarray:
-    """I !_t A = ((1-t) I + t A^{-1})^{-1}, with exact endpoints I and A."""
-    A = as_matrix(A)
+def harmonic_unit(t: float, A) -> np.ndarray:
+    """I !_t A = ((1-t) I + t A^{-1})^{-1} for accretive A, with exact endpoints I and A."""
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"t must be in [0, 1], got {t}")
-    if validate:
-        require_accretive(A)
+    A = require_accretive(A)
     return _sigma(np.eye(A.shape[0], dtype=np.complex128), A, MeasureSpec(atoms=((t, 1.0),)))[0]
 
 
-def apply_function(f: MonotoneFunction, A, validate: bool = True) -> np.ndarray:
+def apply_function(f: MonotoneFunction, A) -> np.ndarray:
     """f(A) = I sigma_f A, the harmonic-mean integral of the measure at (I, A).
 
-    With validate=True the input must be accretive and the result is checked
-    to be accretive in turn.  The quadrature order is chosen by doubling
-    until the result moves by at most 1e-8 relative (pure-atom measures are
-    exact and skip it).  validate=False also admits any matrix whose
-    spectrum avoids (-inf, 0], where the integral still converges.
+    The input must be accretive and the result is checked to be accretive in
+    turn.  The quadrature order is chosen by doubling until the result moves
+    by at most 1e-8 relative (pure-atom measures are exact and skip it).
     """
-    A = require_accretive(A) if validate else as_matrix(A)
+    A = require_accretive(A)
     eye = np.eye(A.shape[0], dtype=np.complex128)
     F, _ = _sigma(eye, A, f.measure)
-    if validate:
-        ok, margin = is_accretive(F)
-        if not ok:
-            raise NumericFailureError(
-                f"f(A) lost accretivity (margin {margin:.3e}); input likely ill-conditioned"
-            )
+    ok, margin = is_accretive(F)
+    if not ok:
+        raise NumericFailureError(
+            f"f(A) lost accretivity (margin {margin:.3e}); input likely ill-conditioned"
+        )
     return F
 
 
@@ -442,8 +438,8 @@ def choose_contour(A) -> DunfordContour:
     return DunfordContour(c=c, d=float(d[k]), eta=eta, nodes=max(16, nodes))
 
 
-def dunford_apply(f: MonotoneFunction, A, contour: DunfordContour, validate: bool = True) -> np.ndarray:
-    """f(A) = (1/2 pi i) * contour integral of f(z) (zI - A)^{-1} dz.
+def dunford_apply(f: MonotoneFunction, A, contour: DunfordContour) -> np.ndarray:
+    """f(A) = (1/2 pi i) * contour integral of f(z) (zI - A)^{-1} dz for accretive A.
 
     On z = exp(c + d cos(theta - i eta)) the integrand is periodic and
     analytic in theta, so the trapezoid rule converges geometrically; the
@@ -451,7 +447,7 @@ def dunford_apply(f: MonotoneFunction, A, contour: DunfordContour, validate: boo
     through solve_stack _CHUNK nodes at a time, so memory stays
     O(_CHUNK n^2) whatever the node count.
     """
-    A = require_accretive(A) if validate else as_matrix(A)
+    A = require_accretive(A)
     if contour.nodes < 16:
         raise ParameterError("contour needs at least 16 nodes")
     d, eta = contour.d, contour.eta

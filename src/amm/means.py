@@ -1,7 +1,9 @@
 """Binary matrix means on accretive pairs.
 
-The arithmetic mean is a closed form; every other mean sigma_f is the
-measure average of weighted harmonic means
+The arithmetic mean is a closed form and takes any pair of equal shape;
+every other public function here raises PreconditionError unless both
+operands are accretive.  A mean sigma_f is the measure average of weighted
+harmonic means
 
     A sigma_f B = integral over [0,1] of  A !_t B  d nu_f(t),
 
@@ -35,14 +37,18 @@ from .linalg import as_matrix, maxabs, principal_sqrt, require_accretive, solve_
 _HALF = catalog("power", 0.5).measure
 
 
-def _operands(A, B, validate: bool):
-    """The operand pair as matrices of equal shape; validate requires accretivity."""
+def _pair(A, B):
+    """The operand pair as matrices of equal shape."""
     A = as_matrix(A)
     B = as_matrix(B)
     if A.shape != B.shape:
         raise ParameterError(f"operand shapes differ: {A.shape} vs {B.shape}")
-    if not validate:
-        return A, B
+    return A, B
+
+
+def _operands(A, B):
+    """The operand pair as accretive matrices of equal shape."""
+    A, B = _pair(A, B)
     return require_accretive(A, "A"), require_accretive(B, "B")
 
 
@@ -50,11 +56,11 @@ def _rel_dev(X, Y) -> float:
     return maxabs(X - Y) / (1.0 + max(maxabs(X), maxabs(Y)))
 
 
-def harmonic_mean(A, B, t: float, validate: bool = True) -> np.ndarray:
+def harmonic_mean(A, B, t: float) -> np.ndarray:
     """A !_t B = ((1-t) A^{-1} + t B^{-1})^{-1}; endpoints return A or B."""
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"t must be in [0, 1], got {t}")
-    A, B = _operands(A, B, validate)
+    A, B = _operands(A, B)
     return funcalc._sigma(A, B, MeasureSpec(atoms=((t, 1.0),)))[0]
 
 
@@ -62,17 +68,17 @@ def arithmetic_mean(A, B, t: float) -> np.ndarray:
     """A nabla_t B = (1-t) A + t B."""
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"t must be in [0, 1], got {t}")
-    A, B = _operands(A, B, validate=False)
+    A, B = _pair(A, B)
     return (1.0 - t) * A + t * B
 
 
-def sigma_mean(A, B, f: MonotoneFunction, validate: bool = True) -> np.ndarray:
+def sigma_mean(A, B, f: MonotoneFunction) -> np.ndarray:
     """A sigma_f B as the measure average of weighted harmonic means.
 
     The quadrature order is chosen by doubling until the result moves by at
     most 1e-8 relative; pure-atom measures are exact and skip it.
     """
-    A, B = _operands(A, B, validate)
+    A, B = _operands(A, B)
     return funcalc._sigma(A, B, f.measure)[0]
 
 
@@ -90,14 +96,14 @@ def _congruence(A, B, f: MonotoneFunction, order=None):
     return S, funcalc._sigma(eye, M, f.measure, order)[0]
 
 
-def congruence_sigma(A, B, f: MonotoneFunction, validate: bool = True) -> np.ndarray:
+def congruence_sigma(A, B, f: MonotoneFunction) -> np.ndarray:
     """A sigma_f B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}, order chosen as in sigma_mean."""
-    A, B = _operands(A, B, validate)
+    A, B = _operands(A, B)
     S, F = _congruence(A, B, f)
     return S @ F @ S
 
 
-def geometric_paths(A, B, lam: float, validate: bool = True):
+def geometric_paths(A, B, lam: float):
     """The three geometric-mean evaluations (measure, congruence, homogeneity).
 
     The measure route chooses the order by doubling; the other two routes
@@ -106,7 +112,7 @@ def geometric_paths(A, B, lam: float, validate: bool = True):
     """
     if not 0.0 < lam < 1.0:
         raise ParameterError(f"lambda must be in (0, 1), got {lam}")
-    A, B = _operands(A, B, validate)
+    A, B = _operands(A, B)
     f = catalog("power", lam)
     # the pair is inverted once, for the measure and the homogeneity route
     Ainv, Binv = solve_stack(np.stack([A, B]))
@@ -116,7 +122,7 @@ def geometric_paths(A, B, lam: float, validate: bool = True):
     return via_measure, S @ F @ S, via_homogeneity
 
 
-def geometric_mean(A, B, lam: float, validate: bool = True) -> np.ndarray:
+def geometric_mean(A, B, lam: float) -> np.ndarray:
     """A sharp_lam B, cross-validated along three routes.
 
     Returns the measure-integral value; any pairwise relative deviation
@@ -126,14 +132,14 @@ def geometric_mean(A, B, lam: float, validate: bool = True) -> np.ndarray:
     homogeneity route, at the same order but other nodes of the pencil,
     catches an order that settled too early.
     """
-    Pa, Pb, Pc = geometric_paths(A, B, lam, validate)
+    Pa, Pb, Pc = geometric_paths(A, B, lam)
     worst = max(_rel_dev(Pa, Pb), _rel_dev(Pa, Pc), _rel_dev(Pb, Pc))
     if worst > 1e-8:
         raise NumericFailureError(f"geometric-mean paths disagree by {worst:.3e}")
     return Pa
 
 
-def drury_half(A, B, validate: bool = True) -> np.ndarray:
+def drury_half(A, B) -> np.ndarray:
     """A sharp B via the inverted half-line average (2/pi int (tA + B/t)^-1 dt/t)^-1.
 
     The substitution u = t^2/(1+t^2) turns the average into the integral of
@@ -142,12 +148,12 @@ def drury_half(A, B, validate: bool = True) -> np.ndarray:
     The order is chosen as in sigma_mean.  Agrees with
     geometric_mean(A, B, 1/2) within 1e-7.
     """
-    A, B = _operands(A, B, validate)
+    A, B = _operands(A, B)
     S, _ = funcalc._integrate(B, A, _HALF)
     return solve_stack(S[None])[0]
 
 
-def geometric_neg(A, B, lam: float, validate: bool = True) -> np.ndarray:
+def geometric_neg(A, B, lam: float) -> np.ndarray:
     """A sharp_{-lam} B for lam in (0, 1).
 
     Evaluates the sandwiched integral
@@ -159,7 +165,7 @@ def geometric_neg(A, B, lam: float, validate: bool = True) -> np.ndarray:
     """
     if not 0.0 < lam < 1.0:
         raise ParameterError(f"lambda must be in (0, 1), got {lam}")
-    A, B = _operands(A, B, validate)
+    A, B = _operands(A, B)
     f = catalog("power", lam)
     J, order = funcalc._integrate(A, B, f.measure)
     result = A @ J @ A

@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import linalg, sector
+from . import funcalc, linalg, sector
 from .errors import ParameterError
-from .funcalc import MonotoneFunction, apply_function, catalog, scalar_eval, standard_catalog
+from .funcalc import MeasureSpec, MonotoneFunction, catalog, scalar_eval, standard_catalog
 from .linalg import (
     NormKind,
     TAU_EQ,
@@ -36,7 +36,7 @@ from .linalg import (
     uinorm,
 )
 from .maps import PositiveLinearMap, apply_map, is_unital, random_map
-from .means import arithmetic_mean, harmonic_mean, scalar_sigma, sigma_mean
+from .means import arithmetic_mean, scalar_sigma
 from .sector import EnsembleSpec, random_sectorial
 
 
@@ -110,15 +110,16 @@ class _Sample:
             self._rng = np.random.default_rng(self._seed)
         return self._rng
 
-    # means and functional calculus with validation handled by the engine
+    # Means and f(A) straight on the shared kernel: every operand here is
+    # accretive by construction, so the public functions' checks are skipped.
     def sigma(self, X, Y, fn=None):
-        return sigma_mean(X, Y, fn or self.f, validate=False)
+        return funcalc._sigma(X, Y, (fn or self.f).measure)[0]
 
     def apply(self, fn, X):
-        return apply_function(fn, X, validate=False)
+        return funcalc._sigma(np.eye(X.shape[0], dtype=np.complex128), X, fn.measure)[0]
 
     def harm(self, X, Y, t):
-        return harmonic_mean(X, Y, t, validate=False)
+        return funcalc._sigma(X, Y, MeasureSpec(atoms=((t, 1.0),)))[0]
 
     def draw_t(self) -> float:
         return float(_T_GRID[self.rng.integers(0, len(_T_GRID))])
@@ -403,16 +404,13 @@ def _ev_pos_ab_norm(c):
 @dataclass(frozen=True)
 class CheckDef:
     id: str
-    evaluate: Callable | None      # None when twin_of supplies it
+    evaluate: Callable
     kind: str = "order"            # "order" or "identity"
     ensemble: str = "sectorial"    # "sectorial" or "positive"
     needs_f: bool = False
     needs_g: bool = False
     map_kind: str | None = None    # None, "unital" or "positive"
     needs_norm: bool = False
-    # A classical check that is its sectorial twin read on an alpha = 0
-    # ensemble, where every sec/cos factor is exactly 1.
-    twin_of: str | None = None
 
 
 _DEFS = (
@@ -453,27 +451,27 @@ _DEFS = (
     CheckDef("ando_zhan", _ev_ando_zhan, needs_f=True, needs_norm=True),
     CheckDef("f_nabla_norm", _ev_f_nabla_norm, needs_f=True, needs_norm=True),
     CheckDef("norm_of_sigma", _ev_norm_of_sigma, needs_f=True, needs_norm=True),
-    CheckDef("pos_jensen", None, ensemble="positive", needs_f=True, twin_of="f_inner"),
-    CheckDef("pos_sigma_inner", None, ensemble="positive", needs_f=True,
-             twin_of="sigma_inner"),
-    CheckDef("pos_sigma_norm", None, ensemble="positive", needs_f=True, needs_norm=True,
-             twin_of="norm_of_sigma"),
-    CheckDef("pos_amgmhm", None, ensemble="positive", needs_f=True, twin_of="amgmhm"),
-    CheckDef("pos_ando", None, ensemble="positive", needs_f=True, map_kind="positive",
-             twin_of="ando_sector"),
-    CheckDef("pos_choi", None, ensemble="positive", needs_f=True, map_kind="unital",
-             twin_of="choi_sector"),
-    CheckDef("pos_ando_hiai", None, ensemble="positive", needs_f=True,
-             twin_of="f_sharp_nabla"),
-    CheckDef("pos_f_norm", None, ensemble="positive", needs_f=True, needs_norm=True,
-             twin_of="f_norm_lower"),
-    CheckDef("pos_ando_zhan", None, ensemble="positive", needs_f=True, needs_norm=True,
-             twin_of="ando_zhan"),
-    CheckDef("pos_gumus", None, ensemble="positive", twin_of="gumus_a"),
+    # Classical checks: all but pos_sharpando and pos_ab_norm reuse a sectorial
+    # evaluator, read on an alpha = 0 ensemble where every sec/cos factor is 1.
+    CheckDef("pos_jensen", _ev_f_inner, ensemble="positive", needs_f=True),
+    CheckDef("pos_sigma_inner", _ev_sigma_inner, ensemble="positive", needs_f=True),
+    CheckDef("pos_sigma_norm", _ev_norm_of_sigma, ensemble="positive", needs_f=True,
+             needs_norm=True),
+    CheckDef("pos_amgmhm", _ev_amgmhm, ensemble="positive", needs_f=True),
+    CheckDef("pos_ando", _ev_ando_sector, ensemble="positive", needs_f=True,
+             map_kind="positive"),
+    CheckDef("pos_choi", _ev_choi_sector, ensemble="positive", needs_f=True,
+             map_kind="unital"),
+    CheckDef("pos_ando_hiai", _ev_f_sharp_nabla, ensemble="positive", needs_f=True),
+    CheckDef("pos_f_norm", _ev_f_norm_lower, ensemble="positive", needs_f=True,
+             needs_norm=True),
+    CheckDef("pos_ando_zhan", _ev_ando_zhan, ensemble="positive", needs_f=True,
+             needs_norm=True),
+    CheckDef("pos_gumus", _ev_gumus_a, ensemble="positive"),
     CheckDef("pos_sharpando", _ev_pos_sharpando, kind="identity", ensemble="positive"),
-    CheckDef("pos_ts", None, ensemble="positive", twin_of="mixed_ns"),
+    CheckDef("pos_ts", _ev_mixed_ns, ensemble="positive"),
     CheckDef("pos_ab_norm", _ev_pos_ab_norm, ensemble="positive", needs_norm=True),
-    CheckDef("pos_concave", None, ensemble="positive", needs_f=True, twin_of="f_nabla"),
+    CheckDef("pos_concave", _ev_f_nabla, ensemble="positive", needs_f=True),
 )
 
 REGISTRY: dict[str, CheckDef] = {d.id: d for d in _DEFS}
@@ -558,7 +556,6 @@ def run_check(
                 "for mismatched derivatives already at dimension 1"
             )
 
-    evaluate = REGISTRY[d.twin_of].evaluate if d.twin_of else d.evaluate
     eff_spec = spec
     if d.ensemble == "positive" and spec.alpha_max != 0.0:
         eff_spec = EnsembleSpec(dim=spec.dim, alpha_max=0.0, m=spec.m, M=spec.M,
@@ -569,7 +566,7 @@ def run_check(
     worst = 0
     for i in range(eff_spec.count):
         c = _Sample(eff_spec, i, check_id, f, g, phi, norm, alpha_mode)
-        margin = float(evaluate(c))
+        margin = float(d.evaluate(c))
         if margin < min_margin:
             min_margin = margin
             worst = i
@@ -603,7 +600,6 @@ class SuiteItem:
     g: MonotoneFunction | None = None
     phi: PositiveLinearMap | None = None
     norm: NormKind | None = None
-    alpha_mode: str = "certified"
 
 
 def run_suite(items: list[SuiteItem]) -> list[CheckReport]:
@@ -612,8 +608,7 @@ def run_suite(items: list[SuiteItem]) -> list[CheckReport]:
     A thread pool only slowed the suite: its time is Python and tiny LAPACK calls.
     """
     return [
-        run_check(item.check, item.spec, f=item.f, g=item.g,
-                  phi=item.phi, norm=item.norm, alpha_mode=item.alpha_mode)
+        run_check(item.check, item.spec, f=item.f, g=item.g, phi=item.phi, norm=item.norm)
         for item in items
     ]
 
@@ -641,15 +636,8 @@ def _map_for(dim: int, variant: str, seed: int) -> PositiveLinearMap:
     return random_map(dim, 1, variant, seed)
 
 
-def default_suite(
-    samples: int = 200,
-    seed: int = DEFAULT_SEED,
-    dims: tuple[int, ...] = DEFAULT_DIMS,
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS,
-    m: float = 1.0,
-    M: float = 2.0,
-) -> list[SuiteItem]:
-    """The full built-in catalog over the dims x alphas ensemble grid.
+def default_suite(samples: int = 200, seed: int = DEFAULT_SEED) -> list[SuiteItem]:
+    """The full built-in catalog over the DEFAULT_DIMS x DEFAULT_ALPHAS grid, m = 1, M = 2.
 
     Catalog functions, map variants and norm kinds cycle deterministically
     across the grid, so each check meets every function/variant/kind while
@@ -660,12 +648,12 @@ def default_suite(
     norms = [linalg.OPERATOR, linalg.FROBENIUS, linalg.TRACE]
     items: list[SuiteItem] = []
     for d in REGISTRY.values():
-        grid_alphas = alphas if d.ensemble == "sectorial" else (0.0,)
+        grid_alphas = DEFAULT_ALPHAS if d.ensemble == "sectorial" else (0.0,)
         ordinal = 0
         for ai, alpha in enumerate(grid_alphas):
-            for di, dim in enumerate(dims):
+            for di, dim in enumerate(DEFAULT_DIMS):
                 spec = EnsembleSpec(
-                    dim=dim, alpha_max=alpha, m=m, M=M, count=samples,
+                    dim=dim, alpha_max=alpha, m=1.0, M=2.0, count=samples,
                     seed=(seed + 7919 * di + 104729 * ai) % 2**63,
                 )
                 f = functions[ordinal % len(functions)] if d.needs_f else None

@@ -62,12 +62,12 @@ class TestAcceptance:
                 A, B = draw_pair(spec, i)
                 n = spec.dim
                 for lam in lams:
-                    Pa, Pb, Pc = geometric_paths(A, B, lam, validate=False)
+                    Pa, Pb, Pc = geometric_paths(A, B, lam)
                     scale = 1.0 + max(maxabs(Pa), maxabs(Pb), maxabs(Pc))
                     dev = n * max(maxabs(Pa - Pb), maxabs(Pa - Pc), maxabs(Pb - Pc))
                     worst = max(worst, dev / scale)
-                half = geometric_paths(A, B, 0.5, validate=False)[0]
-                dd = n * maxabs(drury_half(A, B, validate=False) - half)
+                half = geometric_paths(A, B, 0.5)[0]
+                dd = n * maxabs(drury_half(A, B) - half)
                 worst_drury = max(worst_drury, dd / (1.0 + maxabs(half)))
         ok = worst <= 1e-8 and worst_drury <= 1e-7
         report("criterion 1: geometric-mean three-path agreement", ok,
@@ -208,11 +208,11 @@ class TestAcceptance:
                 lam = lams[i % len(lams)]
                 f = catalog("power", lam)
                 fr = catalog("power", 1.0 - lam)
-                S = sigma_mean(A, B, f, validate=False)
-                flip = sigma_mean(B, A, fr, validate=False)
+                S = sigma_mean(A, B, f)
+                flip = sigma_mean(B, A, fr)
                 scale = 1.0 + maxabs(S)
                 worst_flip = max(worst_flip, spec.dim * maxabs(S - flip) / scale)
-                Sinv = sigma_mean(inverse(A), inverse(B), f, validate=False)
+                Sinv = sigma_mean(inverse(A), inverse(B), f)
                 worst_inv = max(worst_inv,
                                 spec.dim * maxabs(inverse(S) - Sinv) / scale)
         ok = worst_flip <= 1e-8 and worst_inv <= 1e-8

@@ -1,7 +1,8 @@
 import json
-
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,9 +325,12 @@ class TestEntry:
     def test_module_invocation(self, tmp_path):
         A = tmp_path / "a.json"
         write_mat(A, np.eye(2))
+        # the pytest pythonpath setting does not reach a child process
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "amm", "angle", "--a", str(A)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["accretive"] is True

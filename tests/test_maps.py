@@ -154,7 +154,6 @@ class TestClassicalInequalities:
                     A, B = random_pd(spec, i), random_pd(spec, i + 1)
                     lhs = hermitian_part(apply_map(phi, sigma_mean(A, B, f)))
                     rhs = hermitian_part(
-                        sigma_mean(apply_map(phi, A), apply_map(phi, B), f,
-                                   validate=False)
+                        sigma_mean(apply_map(phi, A), apply_map(phi, B), f)
                     )
                     assert loewner_leq(lhs, rhs).holds, (variant, str(f))

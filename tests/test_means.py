@@ -66,8 +66,47 @@ class TestArithmetic:
     def test_shape_mismatch_rejected_without_validation(self):
         with pytest.raises(ParameterError, match="shapes differ"):
             arithmetic_mean(np.eye(2), np.eye(3), 0.5)
+        # the shape check runs before the accretivity check
         with pytest.raises(ParameterError, match="shapes differ"):
-            sigma_mean(np.eye(2), np.eye(3), catalog("power", 0.5), validate=False)
+            sigma_mean(np.eye(2), np.eye(3), catalog("power", 0.5))
+
+
+# Spectrum {1}, off the cut, but Re has eigenvalue -1: not accretive.
+_NOT_ACCRETIVE = np.array([[1.0, 4.0], [0.0, 1.0]])
+_ROOT = catalog("power", 0.5)
+_BINARY = {
+    "harmonic_mean": lambda A, B: harmonic_mean(A, B, 0.5),
+    "sigma_mean": lambda A, B: sigma_mean(A, B, _ROOT),
+    "congruence_sigma": lambda A, B: congruence_sigma(A, B, _ROOT),
+    "geometric_paths": lambda A, B: geometric_paths(A, B, 0.5),
+    "geometric_mean": lambda A, B: geometric_mean(A, B, 0.5),
+    "drury_half": drury_half,
+    "geometric_neg": lambda A, B: geometric_neg(A, B, 0.5),
+}
+# f(A) and I !_t A have the one operand A
+_UNARY = {
+    "harmonic_unit": lambda A: funcalc.harmonic_unit(0.5, A),
+    "apply_function": lambda A: apply_function(_ROOT, A),
+    "dunford_apply": lambda A: funcalc.dunford_apply(
+        _ROOT, A, funcalc.choose_contour(np.eye(2))),
+}
+_REFUSAL_CASES = [(name, "A") for name in _UNARY] + [
+    (name, operand) for name in _BINARY for operand in ("A", "B")
+]
+
+
+class TestRefusal:
+    # every public mean and f(A) checks its own operands
+    @pytest.mark.parametrize("name, operand", _REFUSAL_CASES)
+    def test_refuses_non_accretive_operand(self, name, operand):
+        good, _ = pair(2, math.pi / 6, 40)
+        A, B = (_NOT_ACCRETIVE, good) if operand == "A" else (good, _NOT_ACCRETIVE)
+        if name in _UNARY:
+            with pytest.raises(PreconditionError, match="^matrix is not accretive"):
+                _UNARY[name](A)
+        else:
+            with pytest.raises(PreconditionError, match=f"^{operand} is not accretive"):
+                _BINARY[name](A, B)
 
 
 class TestSigma:

@@ -55,15 +55,25 @@ class TestRegistry:
     def test_classical_twins(self):
         # a twinned pos_* check reuses its sectorial twin's evaluator, so the
         # two must agree on everything the evaluator and run_check consult
-        own = {cid for cid in POSITIVE_IDS if REGISTRY[cid].evaluate is not None}
+        sectorial = {REGISTRY[cid].evaluate: cid for cid in SECTORIAL_IDS}
+        assert len(sectorial) == len(SECTORIAL_IDS)
+        twins = {cid: sectorial.get(REGISTRY[cid].evaluate) for cid in POSITIVE_IDS}
+        assert twins == {
+            "pos_jensen": "f_inner", "pos_sigma_inner": "sigma_inner",
+            "pos_sigma_norm": "norm_of_sigma", "pos_amgmhm": "amgmhm",
+            "pos_ando": "ando_sector", "pos_choi": "choi_sector",
+            "pos_ando_hiai": "f_sharp_nabla", "pos_f_norm": "f_norm_lower",
+            "pos_ando_zhan": "ando_zhan", "pos_gumus": "gumus_a",
+            "pos_sharpando": None, "pos_ts": "mixed_ns", "pos_ab_norm": None,
+            "pos_concave": "f_nabla",
+        }
+        own = {cid for cid, twin in twins.items() if twin is None}
         assert own == {"pos_sharpando", "pos_ab_norm"}
         for cid in set(POSITIVE_IDS) - own:
-            d = REGISTRY[cid]
-            twin = REGISTRY[d.twin_of]
-            assert twin.ensemble == "sectorial" and twin.evaluate is not None
+            d, twin = REGISTRY[cid], REGISTRY[twins[cid]]
             for attr in ("kind", "needs_f", "needs_g", "map_kind", "needs_norm"):
                 assert getattr(d, attr) == getattr(twin, attr), (cid, attr)
-        assert all(REGISTRY[cid].twin_of is None for cid in own | set(SECTORIAL_IDS))
+        assert all(callable(d.evaluate) for d in REGISTRY.values())
 
     def test_identity_kinds(self):
         identities = {cid for cid, d in REGISTRY.items() if d.kind == "identity"}
