@@ -72,39 +72,29 @@ def _build_function(name: str, param) -> funcalc.MonotoneFunction:
     return funcalc.catalog(name, None if param is None else float(param))
 
 
+# Each --op: the flag it requires, that flag's args attribute, and its computation.
+_OPS = {
+    "harmonic": ("--t", "t", lambda A, B, a: means.harmonic_mean(A, B, a.t)),
+    "arithmetic": ("--t", "t", lambda A, B, a: means.arithmetic_mean(A, B, a.t)),
+    "geometric": ("--lambda", "lam", lambda A, B, a: means.geometric_mean(A, B, a.lam)),
+    "geometric-neg": ("--lambda", "lam", lambda A, B, a: means.geometric_neg(A, B, a.lam)),
+    "sigma": ("--fn", "fn",
+              lambda A, B, a: means.sigma_mean(A, B, _build_function(a.fn, a.param))),
+    "func": ("--fn", "fn",
+             lambda A, B, a: funcalc.apply_function(_build_function(a.fn, a.param), A)),
+}
+
+
 def _cmd_compute(args) -> int:
     A = read_matrix(args.a)
     needs_b = args.op != "func"
     if needs_b and args.b is None:
         raise ParameterError(f"--op {args.op} requires --b")
     B = read_matrix(args.b) if needs_b else None
-    if args.op == "harmonic":
-        if args.t is None:
-            raise ParameterError("--op harmonic requires --t")
-        result = means.harmonic_mean(A, B, args.t)
-    elif args.op == "arithmetic":
-        if args.t is None:
-            raise ParameterError("--op arithmetic requires --t")
-        result = means.arithmetic_mean(A, B, args.t)
-    elif args.op == "geometric":
-        if args.lam is None:
-            raise ParameterError("--op geometric requires --lambda")
-        result = means.geometric_mean(A, B, args.lam)
-    elif args.op == "geometric-neg":
-        if args.lam is None:
-            raise ParameterError("--op geometric-neg requires --lambda")
-        result = means.geometric_neg(A, B, args.lam)
-    elif args.op == "sigma":
-        if args.fn is None:
-            raise ParameterError("--op sigma requires --fn")
-        result = means.sigma_mean(A, B, _build_function(args.fn, args.param))
-    elif args.op == "func":
-        if args.fn is None:
-            raise ParameterError("--op func requires --fn")
-        result = funcalc.apply_function(_build_function(args.fn, args.param), A)
-    else:
-        raise ParameterError(f"unknown op {args.op!r}")
-    write_matrix(args.out, result)
+    flag, dest, compute = _OPS[args.op]
+    if getattr(args, dest) is None:
+        raise ParameterError(f"--op {args.op} requires {flag}")
+    write_matrix(args.out, compute(A, B, args))
     return EXIT_OK
 
 
@@ -221,9 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="compute a mean or matrix function")
-    p.add_argument("--op", required=True,
-                   choices=["harmonic", "arithmetic", "geometric", "geometric-neg",
-                            "sigma", "func"])
+    p.add_argument("--op", required=True, choices=list(_OPS))
     p.add_argument("--a", required=True, help="left operand (JSON matrix file)")
     p.add_argument("--b", help="right operand (JSON matrix file)")
     p.add_argument("--lambda", dest="lam", type=float, help="weight for geometric ops")

@@ -249,7 +249,6 @@ def _uniform_scalar(z):
 
 
 def _make_function(name, measure, scalar_form, derivative_at_one, param=None) -> MonotoneFunction:
-    _validate_measure(measure)
     mass = measure_mass(measure)
     if abs(mass - 1.0) > 1e-10:
         raise ParameterError(f"measure mass {mass} is not 1")

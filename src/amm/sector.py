@@ -11,7 +11,7 @@ those quantities controlled exactly.  The accretivity predicate
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,7 +128,4 @@ def random_sectorial(spec: EnsembleSpec, index: int) -> np.ndarray:
 
 def random_pd(spec: EnsembleSpec, index: int) -> np.ndarray:
     """Hermitian positive definite member: random_sectorial at alpha_max = 0."""
-    flat = EnsembleSpec(
-        dim=spec.dim, alpha_max=0.0, m=spec.m, M=spec.M, count=spec.count, seed=spec.seed
-    )
-    return random_sectorial(flat, index)
+    return random_sectorial(replace(spec, alpha_max=0.0), index)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -74,33 +74,26 @@ def _power(t: float) -> MonotoneFunction:
 
 @lru_cache(maxsize=20000)
 def _operand_pair(spec: EnsembleSpec, index: int):
-    """Certified operand pair for sample ``index``, shared across checks."""
-    wide = EnsembleSpec(
-        dim=spec.dim, alpha_max=spec.alpha_max, m=spec.m, M=spec.M,
-        count=2 * spec.count, seed=spec.seed,
-    )
+    """Sample ``index``'s operands, their real parts and the certified
+    (alpha, m, M) of the pair, shared across checks."""
+    wide = replace(spec, count=2 * spec.count)
     A = random_sectorial(wide, 2 * index)
     B = random_sectorial(wide, 2 * index + 1)
     cA, cB = sector.certify(A), sector.certify(B)
-    return A, B, max(cA.alpha, cB.alpha), min(cA.m, cB.m), max(cA.M, cB.M)
+    return (A, B, _H(A), _H(B),
+            max(cA.alpha, cB.alpha), min(cA.m, cB.m), max(cA.M, cB.M))
 
 
 class _Sample:
     """Per-sample evaluation context handed to check evaluators."""
 
-    def __init__(self, spec, index, check_id, f, g, phi, norm, alpha_mode):
-        A, B, cert_alpha, m, M = _operand_pair(spec, index)
-        self.A, self.B = A, B
-        self.ReA, self.ReB = _H(A), _H(B)
-        self.m, self.M = m, M
-        alpha = cert_alpha if alpha_mode == "certified" else spec.alpha_max
-        self.alpha = alpha
+    def __init__(self, spec, index, check_id, f, g, phi, norm):
+        self.A, self.B, self.ReA, self.ReB, alpha, self.m, self.M = _operand_pair(spec, index)
         self.cosa = math.cos(alpha)
         self.seca = 1.0 / self.cosa
         self.cos2 = self.cosa * self.cosa
         self.sec2 = self.seca * self.seca
         self.f, self.g, self.phi, self.norm = f, g, phi, norm
-        self.eye = np.eye(spec.dim, dtype=np.complex128)
         self._rng = None
         self._seed = (spec.seed, zlib.crc32(check_id.encode()), index)
 
@@ -310,7 +303,7 @@ def _ev_gumus_b(c):
 def _ev_gumus_c(c):
     t = c.draw_t()
     K = c.gumus_factor(t)
-    shift = c.M * (K - 1.0) * c.eye
+    shift = c.M * (K - 1.0) * np.eye(c.A.shape[0], dtype=np.complex128)
     S = _H(c.sigma(c.A, c.B, _power(t)))
     lo = _lm(_H(arithmetic_mean(c.A, c.B, t)) - shift, S)
     hi = _lm(S, c.sec2 * (shift + _H(c.harm(c.A, c.B, t))))
@@ -504,13 +497,6 @@ class CheckReport:
         }
 
 
-def _spec_digest(spec: EnsembleSpec) -> dict:
-    return {
-        "dim": spec.dim, "alpha_max": spec.alpha_max, "m": spec.m, "M": spec.M,
-        "count": spec.count, "seed": spec.seed,
-    }
-
-
 def run_check(
     check_id: str,
     spec: EnsembleSpec,
@@ -518,20 +504,16 @@ def run_check(
     g: MonotoneFunction | None = None,
     phi: PositiveLinearMap | None = None,
     norm: NormKind | None = None,
-    alpha_mode: str = "certified",
 ) -> CheckReport:
     """Evaluate one check over ``spec.count`` samples and report the margin.
 
-    alpha_mode selects the angle entering sec/cos factors: "certified" uses
-    the per-sample certified max(alpha_A, alpha_B), "bound" the ensemble's
-    alpha_max.  Deterministic in (spec.seed, check_id).
+    Every sec/cos factor uses the per-sample certified max(alpha_A, alpha_B).
+    Deterministic in (spec.seed, check_id).
     """
     try:
         d = REGISTRY[check_id]
     except KeyError:
         raise ParameterError(f"unknown check id {check_id!r}") from None
-    if alpha_mode not in ("certified", "bound"):
-        raise ParameterError(f"unknown alpha_mode {alpha_mode!r}")
     if d.needs_f and f is None:
         raise ParameterError(f"check {check_id} requires a monotone function f")
     if d.needs_g and g is None:
@@ -547,25 +529,23 @@ def run_check(
             raise ParameterError(f"check {check_id} requires a unital map")
     if d.needs_norm and norm is None:
         raise ParameterError(f"check {check_id} requires a norm kind")
-    if d.needs_f and f is not None and not 0.0 < f.derivative_at_one < 1.0:
+    if d.needs_f and not 0.0 < f.derivative_at_one < 1.0:
         raise ParameterError("f'(1) must lie in (0, 1)")
-    if d.needs_g and g is not None and f is not None:
-        if abs(f.derivative_at_one - g.derivative_at_one) > 1e-12:
-            raise ParameterError(
-                "kantorovich requires f'(1) = g'(1); the ratio bound fails "
-                "for mismatched derivatives already at dimension 1"
-            )
+    if d.needs_g and abs(f.derivative_at_one - g.derivative_at_one) > 1e-12:
+        raise ParameterError(
+            "kantorovich requires f'(1) = g'(1); the ratio bound fails "
+            "for mismatched derivatives already at dimension 1"
+        )
 
     eff_spec = spec
     if d.ensemble == "positive" and spec.alpha_max != 0.0:
-        eff_spec = EnsembleSpec(dim=spec.dim, alpha_max=0.0, m=spec.m, M=spec.M,
-                                count=spec.count, seed=spec.seed)
+        eff_spec = replace(spec, alpha_max=0.0)
 
     start = time.perf_counter()
     min_margin = math.inf
     worst = 0
     for i in range(eff_spec.count):
-        c = _Sample(eff_spec, i, check_id, f, g, phi, norm, alpha_mode)
+        c = _Sample(eff_spec, i, check_id, f, g, phi, norm)
         margin = float(d.evaluate(c))
         if margin < min_margin:
             min_margin = margin
@@ -578,11 +558,11 @@ def run_check(
         "function_g": g.describe() if g is not None else None,
         "map": phi.describe() if phi is not None else None,
         "norm": str(norm) if norm is not None else None,
-        "alpha_mode": alpha_mode,
+        "alpha_mode": "certified",  # the only angle mode; kept so reports stay byte-stable
     }
     return CheckReport(
         check=check_id,
-        ensemble=_spec_digest(eff_spec),
+        ensemble=asdict(eff_spec),
         samples=eff_spec.count,
         min_margin=min_margin,
         worst_index=worst,

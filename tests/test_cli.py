@@ -93,11 +93,20 @@ class TestCompute:
                      "--out", str(tmp_path / "x.json")])
         assert code == 3
 
-    def test_missing_flag_exit_2(self, matrices, tmp_path):
-        code = main(["compute", "--op", "geometric",
-                     "--a", matrices["four"], "--b", matrices["nine"],
-                     "--out", str(tmp_path / "x.json")])
-        assert code == 2
+    @pytest.mark.parametrize(
+        "op", ["harmonic", "arithmetic", "geometric", "geometric-neg", "sigma", "func"])
+    def test_missing_flag_exit_2(self, matrices, tmp_path, capsys, op):
+        flag, value = {"harmonic": ("--t", "0.3"), "arithmetic": ("--t", "0.3"),
+                       "geometric": ("--lambda", "0.3"), "geometric-neg": ("--lambda", "0.3"),
+                       "sigma": ("--fn", "uniform"), "func": ("--fn", "uniform")}[op]
+        base = ["compute", "--op", op, "--a", matrices["four"], "--out", str(tmp_path / "x.json")]
+        if op != "func":
+            assert main(base + [flag, value]) == 2
+            assert f"--op {op} requires --b" in capsys.readouterr().err
+            base += ["--b", matrices["nine"]]
+        assert main(base) == 2
+        assert f"--op {op} requires {flag}" in capsys.readouterr().err
+        assert main(base + [flag, value]) == 0
 
     def test_bad_param_exit_2(self, matrices, tmp_path):
         code = main(["compute", "--op", "func", "--fn", "power", "--param", "1.5",

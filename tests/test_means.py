@@ -332,7 +332,7 @@ class TestAdaptiveOrder:
 
         assert close(sigma_mean(A, B, f), at_512(A, B))
         assert close(geometric_mean(A, B, 0.3), at_512(A, B))
-        s = _Sample(spec, 0, "sigma_inner", f, None, None, None, "certified")
+        s = _Sample(spec, 0, "sigma_inner", f, None, None, None)
         assert close(s.sigma(s.A, s.B), at_512(s.A, s.B))
 
     def test_hard_edge_pair_not_refused(self):
