@@ -11,8 +11,8 @@ Exit codes: 0 success, 2 invalid flags/config, 3 precondition violation
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-
 import sys
 from pathlib import Path
 
@@ -202,7 +202,9 @@ def _cmd_suite(args) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_SUITE_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The amm argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="amm",
         description="Matrix means and functional calculus for accretive matrices, "

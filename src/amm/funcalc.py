@@ -13,10 +13,15 @@ mean of the means module and f(A) all go through it.  The measure is
 represented as point atoms plus a Jacobi-type density t^e0 (1-t)^e1 and is
 integrated by Gauss-Jacobi rules matched to the endpoint exponents, built by
 Golub-Welsch, at an order doubled from 8 until the result settles (see
-_converged).  A Dunford contour integral provides an independent second
-route to f(A); its contour is an ellipse in the log plane w = log z fitted
-to the certified sector of A, with a node count fixed in advance (see
-choose_contour).  Agreement of the two is the module's central cross-check.
+_converged).  The density is integrated in u = c t / (1 - t + c t), a
+Moebius map of [0, 1] whose scale c, a power of two, centres the spectrum of
+the pencil on 1 (see _balance), so the order follows M/m and not where the
+spectrum lies; in the paper's terms f(A) = f(s) g(A/s) with s = 1/c, which
+for a power density is the homogeneity of the mean.  A Dunford contour
+integral provides an independent second route to f(A); its contour is an
+ellipse in the log plane w = log z fitted to the certified sector of A, with
+a node count fixed in advance (see choose_contour).  Agreement of the two is
+the module's central cross-check.
 """
 
 from __future__ import annotations
@@ -315,37 +320,78 @@ def standard_catalog() -> tuple[MonotoneFunction, ...]:
     )
 
 
-def _integrate(P, Q, measure: MeasureSpec, order=None, ends=None):
+def _balance(d: DensitySpec, pencil: np.ndarray, inverses: np.ndarray) -> float:
+    """The scale c of _integrate for density d on pencil = [P, Q]: a power of two, or 1.
+
+    inverses = [P^{-1}, Q^{-1}].  The integrand ((1-t) P + t Q)^{-1} has a
+    pole at t = 1/(1 - mu) for each eigenvalue mu of P^{-1} Q, near t = 0
+    for a large mu and near t = 1 for a small one, so the order the doubling
+    needs grows with the distance of the spectrum from 1.  In u (see
+    _integrate) mu moves to mu/c.  The spectrum lies within [2^lo, 2^hi], lo
+    and hi from the entrywise max norms of P, Q and their inverses, and c is
+    the centre 2^((lo+hi)/2) rounded to a power of two (so Q/c is exact), or
+    1 when that centre lies within a factor 4 of 1.  Unless e0 + e1 = -1
+    (every power density), the weight factor of _integrate has a pole where
+    t is infinite, as an eigenvalue 1 would, so the interval is widened to
+    hold 1 first.
+    """
+    p, q, p_inv, q_inv = np.abs(np.concatenate((pencil, inverses))).max(axis=(1, 2)).tolist()
+    hi = math.log2(q) + math.log2(p_inv)
+    lo = -math.log2(p) - math.log2(q_inv)
+    if abs(d.exp0 + d.exp1 + 1.0) > 1e-12:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    centre = (lo + hi) / 2.0
+    return 1.0 if abs(centre) <= 2.0 else 2.0 ** round(centre)
+
+
+def _integrate(P, Q, measure: MeasureSpec, order=None, ends=None, scale=1.0):
     """(integral of ((1-t) P + t Q)^{-1} over the measure, the order taken).
 
-    The one quadrature of the package.  The resolvents at the density nodes
-    of every order _converged asks for go to solve_stack in one batch (an
-    interior atom is a batch of one).  ends = (P^{-1}, Q^{-1}), when given,
-    are the exact values of atoms at t = 0 and t = 1.  Summation order is
-    fixed: atoms in declaration order, then nodes by index.  Pure-atom
-    measures are exact: they are evaluated once, unchecked, and report
-    order 0.
+    The one quadrature of the package.  The density is integrated in
+    u = c t / (1 - t + c t), the Moebius map of [0, 1] with t = u / D and
+    D = c (1-u) + u, for the scale c (see _balance): the density
+    t^e0 (1-t)^e1 dt becomes u^e0 (1-u)^e1 c^(e1+1) D^-(e0+e1+2) du and the
+    resolvent (D/c) ((1-u) P + u Q/c)^{-1}, so the same Gauss-Jacobi rules
+    apply to the pencil (P, Q/c), each weight times c^e1 D^-(e0+e1+1).  For a
+    power density (e0 + e1 = -1) that factor is the constant c^e1, the
+    homogeneity of the mean.  At c = 1 every factor is exactly 1.
+    The resolvents at the density nodes of every order _converged asks for
+    go to solve_stack in one batch (an interior atom is a batch of one).
+    ends = (P^{-1}, Q^{-1}), when given, are the exact values of atoms at
+    t = 0 and t = 1.  Summation order is fixed: atoms in declaration order,
+    then nodes by index.  Pure-atom measures are exact: they are evaluated
+    once, unchecked, and report order 0.
     """
-    def resolvents(ts):
-        return solve_stack((1.0 - ts)[:, None, None] * P + ts[:, None, None] * Q)
+    def resolvents(a, b):
+        return solve_stack(a[:, None, None] * P + b[:, None, None] * Q)
 
     total = None
     for t, w in measure.atoms:
         if ends is not None and t in (0.0, 1.0):
             term = w * ends[int(t)]
         else:
-            term = w * resolvents(np.array([t]))[0]
+            term = w * resolvents(np.array([1.0 - t]), np.array([t]))[0]
         total = term if total is None else total + term
     d = measure.density
     if d is None:
         return total, 0
+    c = scale
+
+    def weights(rule):
+        w = d.coeff * rule.weights
+        if c == 1.0:
+            return w
+        u = rule.nodes
+        return w * (c ** d.exp1 * (c * (1.0 - u) + u) ** -(d.exp0 + d.exp1 + 1.0))
 
     def compute(orders):
         rules = [gauss_jacobi_rule(d.exp0, d.exp1, k) for k in orders]
-        stack = resolvents(np.concatenate([rule.nodes for rule in rules]))
+        u = np.concatenate([rule.nodes for rule in rules])
+        # u/c Q = u (Q/c) to the bit: c is a power of two
+        stack = resolvents(1.0 - u, u / c)
         values, start = [], 0
         for rule in rules:
-            part = np.einsum("k,kij->ij", d.coeff * rule.weights, stack[start:start + rule.order])
+            part = np.einsum("k,kij->ij", weights(rule), stack[start:start + rule.order])
             values.append(part if total is None else total + part)
             start += rule.order
         return values
@@ -353,17 +399,23 @@ def _integrate(P, Q, measure: MeasureSpec, order=None, ends=None):
     return _converged(compute, order)
 
 
-def _sigma(A: np.ndarray, B: np.ndarray, measure: MeasureSpec, order=None):
+def _sigma(A: np.ndarray, B: np.ndarray, measure: MeasureSpec, order=None, scale=None):
     """(integral of A !_t B over the measure, the quadrature order taken).
 
     A !_t B = ((1-t) A^{-1} + t B^{-1})^{-1}, exactly A and B at t = 0, 1:
-    _integrate on the inverted pair.  sigma_mean is this at (A, B), f(A) at
-    (I, A), and the weighted harmonic mean at a single atom.  A and B come
-    accretive: checked by the public means and f(A), or accretive by
-    construction in the suite engine.
+    _integrate on the inverted pair, at the scale _balance chooses for it
+    unless one is given (with a pinned order, the scale of the route that
+    chose it).  sigma_mean is this at (A, B), f(A) at (I, A), and the
+    weighted harmonic mean at a single atom.  A and B come accretive: checked
+    by the public means and f(A), or accretive by construction in the suite
+    engine.
     """
-    inv = solve_stack(np.stack([A, B]))
-    return _integrate(inv[0], inv[1], measure, order, ends=(A, B))
+    pair = np.stack([A, B])
+    inv = solve_stack(pair)
+    if scale is None:
+        d = measure.density
+        scale = 1.0 if d is None else _balance(d, inv, pair)
+    return _integrate(inv[0], inv[1], measure, order, ends=(A, B), scale=scale)
 
 
 def harmonic_unit(t: float, A) -> np.ndarray:

@@ -119,6 +119,21 @@ class TestCompute:
                      "--a", matrices["diag49"], "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    def test_parser_reused_across_calls(self, matrices, tmp_path, capsys):
+        # main builds the parser once per process; a usage error must leave
+        # nothing behind for the next call
+        out = tmp_path / "out.json"
+        argv = ["compute", "--op", "geometric", "--lambda", "0.3",
+                "--a", matrices["diag49"], "--b", matrices["eye"], "--out", str(out)]
+        assert main(["compute", "--op", "geometric", "--lambda", "0.3"]) == 2
+        assert "required" in capsys.readouterr().err
+        assert main(argv) == 0
+        first = out.read_bytes()
+        out.unlink()
+        assert main(argv) == 0
+        assert out.read_bytes() == first
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestAngle:
     def test_identity(self, matrices, capsys):

@@ -2,8 +2,11 @@
 
 Each draw (n <= 64, alpha <= 1.5, M/m <= 1e6, a catalog f) must end in one of
 two outcomes: dunford_apply agrees with apply_function to 1e-8, or
-apply_function refuses with a clean NumericFailureError.  The contour itself
-never refuses: its node count is fixed in advance from the sector.
+apply_function refuses with a clean NumericFailureError.  Only a density
+other than a power may refuse: the quadrature of a power density runs at the
+scale that centres the spectrum, where its order follows M/m alone.  The
+contour itself never refuses: its node count is fixed in advance from the
+sector.
 """
 
 import numpy as np
@@ -32,6 +35,6 @@ def test_contour_agrees_or_measure_refuses(n, alpha, log_ratio, seed, f):
     try:
         Fm = apply_function(f, A)
     except NumericFailureError as exc:
-        assert "quadrature not converged" in str(exc)
+        assert f.name != "power" and "quadrature not converged" in str(exc)
         return
     assert opnorm(Fd - Fm) <= 1e-8 * (1.0 + opnorm(Fm))

@@ -306,6 +306,35 @@ class TestAdaptiveOrder:
             want = fractional_matrix_power(A, 0.3)
             assert maxabs(apply_function(f, A) - want) <= 1e-12 * maxabs(want), f"sample {i}"
 
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 0.7])
+    def test_spectrum_far_from_one(self, lam, monkeypatch):
+        # Hermitian with spectrum in [857, 8013]: M/m is only 9.3, but the
+        # poles of ((1-t) I + t A^-1)^-1 sit within 1/857 of t = 1, and
+        # without the scale the doubling refuses at order 512
+        from scipy.linalg import fractional_matrix_power
+
+        orders, rule = [], funcalc.gauss_jacobi_rule
+        monkeypatch.setattr(funcalc, "gauss_jacobi_rule",
+                            lambda e0, e1, k: orders.append(k) or rule(e0, e1, k))
+        A = random_sectorial(EnsembleSpec(dim=8, alpha_max=0.0, m=1.0, M=1e4, count=1, seed=3), 0)
+        want = fractional_matrix_power(A, lam)
+        assert maxabs(apply_function(catalog("power", lam), A) - want) <= 1.5e-13 * maxabs(want)
+        assert max(orders) <= 32
+
+    def test_scale_centres_the_pencil(self):
+        # a power of two near the centre of the spectrum of P^-1 Q, and 1
+        # within a factor 4 of it; a flat density also centres the point 1
+        power, flat = catalog("power", 0.3).measure.density, catalog("uniform").measure.density
+
+        def scale(d, Q):
+            pencil = np.stack([np.eye(3), Q])
+            return funcalc._balance(d, pencil, np.linalg.inv(pencil))
+
+        assert scale(power, np.eye(3) / 1e4) == 2.0 ** -13
+        assert scale(power, np.eye(3) / 3.0) == 1.0
+        assert scale(flat, np.eye(3) / 1e4) == 2.0 ** -7
+        assert scale(power, np.diag([1e-3, 1.0, 1e3])) == 1.0
+
     def test_pinned_order_returns_its_own_value(self):
         A = random_sectorial(EnsembleSpec(dim=4, alpha_max=1.2, m=1.0, M=100.0, count=1, seed=3), 0)
         f = catalog("power", 0.3)

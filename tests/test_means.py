@@ -366,6 +366,56 @@ class TestAdaptiveOrder:
         assert 0 < sum(counted) <= 64
 
 
+class TestScaledPair:
+    # B scaled by s moves the spectrum of the pencil by s but keeps its
+    # spread (M/m = 2); without the scale the doubling needs order 128 at
+    # s = 1e2 and 512 at 1e3, and every mean here refuses at 1e4
+    @pytest.fixture
+    def orders(self, monkeypatch):
+        orders, rule = [], funcalc.gauss_jacobi_rule
+        monkeypatch.setattr(funcalc, "gauss_jacobi_rule",
+                            lambda e0, e1, k: orders.append(k) or rule(e0, e1, k))
+        return orders
+
+    @pytest.mark.parametrize("s", [1e4, 1e-4])
+    def test_power_means_are_homogeneous(self, s, orders):
+        A, B = pair(8, 0.5, 7)
+        lam = 0.3
+        for got, want in (
+            (geometric_mean(A, s * B, lam), s ** lam * geometric_mean(A, B, lam)),
+            (geometric_neg(A, s * B, lam), s ** -lam * geometric_neg(A, B, lam)),
+            (drury_half(A, s * B), s ** 0.5 * drury_half(A, B)),
+        ):
+            assert maxabs(got - want) <= 1e-12 * maxabs(want)
+        assert max(orders) <= 64
+
+    @pytest.mark.parametrize("s", [1e4, 1e-4])
+    def test_uniform_mean_matches_scipy(self, s, orders):
+        # A^1/2 f(X) A^1/2 with X = A^-1/2 (sB) A^-1/2 and f(z) = z ln z / (z-1)
+        from scipy.linalg import logm, sqrtm
+
+        A, B = pair(8, 0.5, 7)
+        S = sqrtm(A)
+        Sinv = np.linalg.inv(S)
+        X = Sinv @ (s * B) @ Sinv
+        want = S @ X @ logm(X) @ np.linalg.inv(X - np.eye(8)) @ S
+        got = sigma_mean(A, s * B, catalog("uniform"))
+        assert maxabs(got - want) <= 1e-12 * maxabs(want)
+        assert max(orders) <= 128
+
+    def test_too_low_order_disagrees(self, monkeypatch):
+        # at s = 1e4 the homogeneity route's pair (A^-1, (sB)^-1 / 2) would
+        # choose half the measure route's scale, which undoes the halving;
+        # at the measure route's scale it still sees the order-4 error
+        converged = funcalc._converged
+        monkeypatch.setattr(funcalc, "_converged",
+                            lambda compute, order=None: converged(compute, 4))
+        A, B = pair(4, 1.2, 3, M=100.0)
+        via_measure, via_congruence, via_homogeneity = geometric_paths(A, 1e4 * B, 0.3)
+        assert maxabs(via_measure - via_congruence) <= 1e-12 * maxabs(via_measure)
+        assert maxabs(via_measure - via_homogeneity) > 1e-8 * (1 + maxabs(via_measure))
+
+
 class TestOneKernel:
     # the paper's definition f(A) = I sigma_f A, and I !_t A as a mean with I
     @pytest.mark.parametrize("dim, alpha, M", [
