@@ -72,24 +72,53 @@ def _power(t: float) -> MonotoneFunction:
     return catalog("power", t)
 
 
-@lru_cache(maxsize=20000)
-def _operand_pair(spec: EnsembleSpec, index: int):
-    """Sample ``index``'s operands, their real parts and the certified
-    (alpha, m, M) of the pair, shared across checks."""
-    wide = replace(spec, count=2 * spec.count)
-    A = random_sectorial(wide, 2 * index)
-    B = random_sectorial(wide, 2 * index + 1)
-    cA, cB = sector.certify(A), sector.certify(B)
-    return (A, B, _H(A), _H(B),
-            max(cA.alpha, cB.alpha), min(cA.m, cB.m), max(cA.M, cB.M))
+def _frozen(X: np.ndarray) -> np.ndarray:
+    X.setflags(write=False)
+    return X
+
+
+class _Pair:
+    """Sample ``index``'s operands A, B, their real parts and the identity
+    (the pair's roles, read-only), the certified (alpha, m, M) of the pair,
+    and a memo of the shared kernel's values on pairs of roles."""
+
+    def __init__(self, spec: EnsembleSpec, index: int):
+        wide = replace(spec, count=2 * spec.count)
+        A = random_sectorial(wide, 2 * index)
+        B = random_sectorial(wide, 2 * index + 1)
+        cA, cB = sector.certify(A), sector.certify(B)
+        eye = np.eye(spec.dim, dtype=np.complex128)
+        self.roles = tuple(_frozen(X) for X in (A, B, _H(A), _H(B), eye))
+        self.role_of = {id(X): k for k, X in enumerate(self.roles)}  # identity, not bytes
+        self.alpha = max(cA.alpha, cB.alpha)
+        self.m, self.M = min(cA.m, cB.m), max(cA.M, cB.M)
+        self.memo: dict = {}
+
+
+@lru_cache(maxsize=2)
+def _spec_pairs(spec: EnsembleSpec) -> dict:
+    """Index -> _Pair for one spec.  Only the last two specs stay cached,
+    memos included, so memory is bounded by two ensembles whatever the caller;
+    run_suite walks each spec's checks together, so it draws every pair once."""
+    return {}
+
+
+def _operand_pair(spec: EnsembleSpec, index: int) -> _Pair:
+    pairs = _spec_pairs(spec)
+    p = pairs.get(index)
+    if p is None:
+        p = pairs[index] = _Pair(spec, index)
+    return p
 
 
 class _Sample:
     """Per-sample evaluation context handed to check evaluators."""
 
     def __init__(self, spec, index, check_id, f, g, phi, norm):
-        self.A, self.B, self.ReA, self.ReB, alpha, self.m, self.M = _operand_pair(spec, index)
-        self.cosa = math.cos(alpha)
+        self._pair = p = _operand_pair(spec, index)
+        self.A, self.B, self.ReA, self.ReB, self._eye = p.roles
+        self.m, self.M = p.m, p.M
+        self.cosa = math.cos(p.alpha)
         self.seca = 1.0 / self.cosa
         self.cos2 = self.cosa * self.cosa
         self.sec2 = self.seca * self.seca
@@ -105,14 +134,29 @@ class _Sample:
 
     # Means and f(A) straight on the shared kernel: every operand here is
     # accretive by construction, so the public functions' checks are skipped.
+    # A value on two of the pair's roles is computed once per pair and kept,
+    # read-only, in its memo; any other operand goes to the kernel every time.
+    def _kernel(self, X, Y, measure: MeasureSpec) -> np.ndarray:
+        role_of = self._pair.role_of
+        i, j = role_of.get(id(X)), role_of.get(id(Y))
+        if i is None or j is None:
+            return funcalc._sigma(X, Y, measure)[0]
+        memo = self._pair.memo
+        key = (i, j, measure)
+        V = memo.get(key)
+        if V is None:
+            V = memo[key] = _frozen(funcalc._sigma(X, Y, measure)[0])
+        return V
+
     def sigma(self, X, Y, fn=None):
-        return funcalc._sigma(X, Y, (fn or self.f).measure)[0]
+        return self._kernel(X, Y, (fn or self.f).measure)
 
     def apply(self, fn, X):
-        return funcalc._sigma(np.eye(X.shape[0], dtype=np.complex128), X, fn.measure)[0]
+        eye = self._eye if X.shape == self._eye.shape else np.eye(X.shape[0], dtype=np.complex128)
+        return self._kernel(eye, X, fn.measure)
 
     def harm(self, X, Y, t):
-        return funcalc._sigma(X, Y, MeasureSpec(atoms=((t, 1.0),)))[0]
+        return self._kernel(X, Y, MeasureSpec(atoms=((t, 1.0),)))
 
     def draw_t(self) -> float:
         return float(_T_GRID[self.rng.integers(0, len(_T_GRID))])
@@ -497,6 +541,14 @@ class CheckReport:
         }
 
 
+def _effective_spec(check_id: str, spec: EnsembleSpec) -> EnsembleSpec:
+    """The ensemble a check is evaluated on: a positive check flattens alpha_max to 0."""
+    d = REGISTRY.get(check_id)
+    if d is not None and d.ensemble == "positive" and spec.alpha_max != 0.0:
+        return replace(spec, alpha_max=0.0)
+    return spec
+
+
 def run_check(
     check_id: str,
     spec: EnsembleSpec,
@@ -537,10 +589,7 @@ def run_check(
             "for mismatched derivatives already at dimension 1"
         )
 
-    eff_spec = spec
-    if d.ensemble == "positive" and spec.alpha_max != 0.0:
-        eff_spec = replace(spec, alpha_max=0.0)
-
+    eff_spec = _effective_spec(check_id, spec)
     start = time.perf_counter()
     min_margin = math.inf
     worst = 0
@@ -583,14 +632,24 @@ class SuiteItem:
 
 
 def run_suite(items: list[SuiteItem]) -> list[CheckReport]:
-    """Run the items in order, one after another.
+    """Run every item through run_check and return the reports in input order.
 
-    A thread pool only slowed the suite: its time is Python and tiny LAPACK calls.
+    Items are walked grouped by the spec they are evaluated on (alpha = 0 for
+    a positive check), groups in order of first appearance.  A group shares
+    its operand pairs and the means memoized on them, each computed once in
+    the elapsed_ms of the first check that needs it; every check keeps its
+    own random stream, so the walk changes no report.  A thread pool only
+    slowed the suite: its time is Python and tiny LAPACK calls.
     """
-    return [
-        run_check(item.check, item.spec, f=item.f, g=item.g, phi=item.phi, norm=item.norm)
-        for item in items
-    ]
+    group: dict[EnsembleSpec, int] = {}
+    keys = [group.setdefault(_effective_spec(item.check, item.spec), len(group))
+            for item in items]
+    reports: list = [None] * len(items)
+    for k in sorted(range(len(items)), key=keys.__getitem__):
+        item = items[k]
+        reports[k] = run_check(item.check, item.spec, f=item.f, g=item.g, phi=item.phi,
+                               norm=item.norm)
+    return reports
 
 
 DEFAULT_DIMS = (1, 2, 3, 5, 8)

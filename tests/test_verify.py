@@ -1,9 +1,10 @@
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from amm import verify
+from amm import funcalc, verify
 from amm.errors import ParameterError
 from amm.funcalc import catalog
 from amm.maps import random_map
@@ -172,6 +173,89 @@ class TestRunSuite:
         items = [SuiteItem(check="inv_real", spec=small_spec(count=5))]
         reports = run_suite(items)
         assert len(reports) == 1 and reports[0].check == "inv_real"
+
+    def test_grouped_walk_changes_no_report(self, monkeypatch):
+        flat = small_spec(dim=2, alpha=0.0, count=4, seed=11)
+        wide = small_spec(dim=3, alpha=math.pi / 4, count=4, seed=12)
+        f, h = catalog("power", 0.3), catalog("uniform")
+        phi = random_map(3, 2, "compression", 5)
+        items = [
+            SuiteItem("real_superadditive", wide, f=f),
+            SuiteItem("amgmhm", flat, f=h),
+            # flattened to alpha = 0 it runs on flat's ensemble
+            SuiteItem("pos_amgmhm", replace(flat, alpha_max=math.pi / 3), f=h),
+            SuiteItem("real_sector_reverse", wide, f=f),
+            SuiteItem("har_real_super", flat),
+            SuiteItem("choi_sector", wide, f=h, phi=phi),
+            SuiteItem("mixed_gm", flat),
+            SuiteItem("f_real_reverse", wide, f=h),
+        ]
+        walked = []
+        real_run_check = verify.run_check
+
+        def recording(check_id, spec, **kwargs):
+            walked.append(check_id)
+            return real_run_check(check_id, spec, **kwargs)
+
+        verify._spec_pairs.cache_clear()
+        monkeypatch.setattr(verify, "run_check", recording)
+        reports = run_suite(items)
+        assert walked == ["real_superadditive", "real_sector_reverse", "choi_sector",
+                          "f_real_reverse", "amgmhm", "pos_amgmhm", "har_real_super",
+                          "mixed_gm"]
+        assert [r.check for r in reports] == [item.check for item in items]
+        assert reports[2].ensemble == asdict(flat)
+        for item, report in zip(items, reports):
+            verify._spec_pairs.cache_clear()
+            alone = real_run_check(item.check, item.spec, f=item.f, phi=item.phi)
+            assert report.to_dict() == alone.to_dict()
+
+    def test_shared_means_computed_once(self, monkeypatch):
+        calls = []
+        real_sigma = funcalc._sigma
+
+        def counting(X, Y, measure, *args, **kwargs):
+            calls.append(measure.density is not None)
+            return real_sigma(X, Y, measure, *args, **kwargs)
+
+        monkeypatch.setattr(funcalc, "_sigma", counting)
+        f = catalog("power", 0.5)
+        spec = small_spec(dim=3, count=6)
+
+        def density_integrals(checks, spec=spec):
+            before = len(calls)
+            run_suite([SuiteItem(cid, spec, f=f) for cid in checks])
+            return sum(calls[before:])
+
+        verify._spec_pairs.cache_clear()
+        # sigma(ReA, ReB) and sigma(A, B) once per sample ...
+        assert density_integrals(["real_superadditive"]) == 2 * spec.count
+        # ... and real_sector_reverse, on the same pair and f, adds none
+        verify._spec_pairs.cache_clear()
+        assert density_integrals(["real_superadditive", "real_sector_reverse"]) == 2 * spec.count
+        assert density_integrals(["real_sector_reverse"]) == 0
+
+        # a spec's pairs and memos go once two newer specs were used
+        kept = verify._spec_pairs.cache_parameters()["maxsize"]
+        assert kept == 2
+        for seed in range(kept):
+            density_integrals(["inv_real"], replace(spec, seed=seed))
+        assert verify._spec_pairs.cache_info().currsize == kept
+        assert density_integrals(["real_sector_reverse"]) == 2 * spec.count
+
+    def test_shared_operands_read_only(self):
+        f = catalog("power", 0.5)
+        c = verify._Sample(small_spec(dim=3, count=2), 0, "real_superadditive",
+                           f, None, None, None)
+        S = c.sigma(c.A, c.B)
+        assert c.sigma(c.A, c.B) is S  # memoized on the pair
+        for X in (c.A, c.B, c.ReA, c.ReB, S, c.apply(f, c.ReA), c.harm(c.A, c.B, 0.3)):
+            with pytest.raises(ValueError, match="read-only"):
+                X[0, 0] = 0.0
+        # an operand that is not one of the pair's roles is not memoized
+        C = c.A + c.ReB
+        assert c.sigma(C, c.B) is not c.sigma(C, c.B)
+        assert c.sigma(C, c.B).flags.writeable
 
 
 class TestDefaultSuite:
