@@ -12,12 +12,13 @@ which is the weighted harmonic mean P^{-1} !_t Q^{-1}, and _sigma, every
 mean of the means module and f(A) all go through it.  The measure is
 represented as point atoms plus a Jacobi-type density t^e0 (1-t)^e1 and is
 integrated by Gauss-Jacobi rules matched to the endpoint exponents, built by
-Golub-Welsch, at an order doubled from 8 until the result settles (see
-_converged).  The density is integrated in u = c t / (1 - t + c t), a
-Moebius map of [0, 1] whose scale c, a power of two, centres the spectrum of
-the pencil on 1 (see _balance), so the order follows M/m and not where the
-spectrum lies; in the paper's terms f(A) = f(s) g(A/s) with s = 1/c, which
-for a power density is the homogeneity of the mean.  A Dunford contour
+Golub-Welsch.  _integrate alone makes the plan of each integral, an order
+and a scale: the order is doubled from 8 until the result settles (see
+_converged), and the scale of a Moebius change of variable centres the
+spectrum of the pencil on 1 (see _balance), so the order follows M/m and not
+where the spectrum lies; in the paper's terms f(A) = f(s) g(A/s) with
+s = 1/c, which for a power density is the homogeneity of the mean.  A route
+that must share another's nodes is given that plan.  A Dunford contour
 integral provides an independent second route to f(A); its contour is an
 ellipse in the log plane w = log z fitted to the certified sector of A, with
 a node count fixed in advance (see choose_contour).  Agreement of the two is
@@ -320,7 +321,7 @@ def standard_catalog() -> tuple[MonotoneFunction, ...]:
     )
 
 
-def _balance(d: DensitySpec, pencil: np.ndarray, inverses: np.ndarray) -> float:
+def _balance(d: DensitySpec, pencil, inverses) -> float:
     """The scale c of _integrate for density d on pencil = [P, Q]: a power of two, or 1.
 
     inverses = [P^{-1}, Q^{-1}].  The integrand ((1-t) P + t Q)^{-1} has a
@@ -344,23 +345,27 @@ def _balance(d: DensitySpec, pencil: np.ndarray, inverses: np.ndarray) -> float:
     return 1.0 if abs(centre) <= 2.0 else 2.0 ** round(centre)
 
 
-def _integrate(P, Q, measure: MeasureSpec, order=None, ends=None, scale=1.0):
-    """(integral of ((1-t) P + t Q)^{-1} over the measure, the order taken).
+def _integrate(P, Q, measure: MeasureSpec, plan=None, ends=None):
+    """(integral of ((1-t) P + t Q)^{-1} over the measure, its plan (order, scale)).
 
-    The one quadrature of the package.  The density is integrated in
-    u = c t / (1 - t + c t), the Moebius map of [0, 1] with t = u / D and
-    D = c (1-u) + u, for the scale c (see _balance): the density
+    The one quadrature of the package, and the one place its plan is made.
+    The density is integrated in u = c t / (1 - t + c t), the Moebius map of
+    [0, 1] with t = u / D and D = c (1-u) + u: the density
     t^e0 (1-t)^e1 dt becomes u^e0 (1-u)^e1 c^(e1+1) D^-(e0+e1+2) du and the
     resolvent (D/c) ((1-u) P + u Q/c)^{-1}, so the same Gauss-Jacobi rules
     apply to the pencil (P, Q/c), each weight times c^e1 D^-(e0+e1+1).  For a
     power density (e0 + e1 = -1) that factor is the constant c^e1, the
     homogeneity of the mean.  At c = 1 every factor is exactly 1.
-    The resolvents at the density nodes of every order _converged asks for
-    go to solve_stack in one batch (an interior atom is a batch of one).
+    Without a plan the scale c is _balance's for the pencil, from ends when
+    given and otherwise from one inversion of [P, Q], and the order is the
+    doubling's (see _converged); a route that must run at the nodes of
+    another passes that route's plan, which is used as is.  The resolvents
+    at the density nodes of every order _converged asks for go to
+    solve_stack in one batch (an interior atom is a batch of one).
     ends = (P^{-1}, Q^{-1}), when given, are the exact values of atoms at
     t = 0 and t = 1.  Summation order is fixed: atoms in declaration order,
     then nodes by index.  Pure-atom measures are exact: they are evaluated
-    once, unchecked, and report order 0.
+    once, unchecked, and report the plan (0, 1.0).
     """
     def resolvents(a, b):
         return solve_stack(a[:, None, None] * P + b[:, None, None] * Q)
@@ -374,8 +379,11 @@ def _integrate(P, Q, measure: MeasureSpec, order=None, ends=None, scale=1.0):
         total = term if total is None else total + term
     d = measure.density
     if d is None:
-        return total, 0
-    c = scale
+        return total, (0, 1.0)
+    if plan is None:
+        pencil = np.stack([P, Q])
+        plan = (None, _balance(d, pencil, solve_stack(pencil) if ends is None else ends))
+    order, c = plan
 
     def weights(rule):
         w = d.coeff * rule.weights
@@ -396,26 +404,22 @@ def _integrate(P, Q, measure: MeasureSpec, order=None, ends=None, scale=1.0):
             start += rule.order
         return values
 
-    return _converged(compute, order)
+    X, order = _converged(compute, order)
+    return X, (order, c)
 
 
-def _sigma(A: np.ndarray, B: np.ndarray, measure: MeasureSpec, order=None, scale=None):
-    """(integral of A !_t B over the measure, the quadrature order taken).
+def _sigma(A: np.ndarray, B: np.ndarray, measure: MeasureSpec, plan=None):
+    """(integral of A !_t B over the measure, the quadrature plan taken).
 
     A !_t B = ((1-t) A^{-1} + t B^{-1})^{-1}, exactly A and B at t = 0, 1:
-    _integrate on the inverted pair, at the scale _balance chooses for it
-    unless one is given (with a pinned order, the scale of the route that
-    chose it).  sigma_mean is this at (A, B), f(A) at (I, A), and the
-    weighted harmonic mean at a single atom.  A and B come accretive: checked
-    by the public means and f(A), or accretive by construction in the suite
-    engine.
+    _integrate on the inverted pair, with A and B as its ends, so the plan
+    is chosen there unless one is given.  sigma_mean is this at (A, B), f(A)
+    at (I, A), and the weighted harmonic mean at a single atom.  A and B
+    come accretive: checked by the public means and f(A), or accretive by
+    construction in the suite engine.
     """
-    pair = np.stack([A, B])
-    inv = solve_stack(pair)
-    if scale is None:
-        d = measure.density
-        scale = 1.0 if d is None else _balance(d, inv, pair)
-    return _integrate(inv[0], inv[1], measure, order, ends=(A, B), scale=scale)
+    P, Q = solve_stack(np.stack([A, B]))
+    return _integrate(P, Q, measure, plan, ends=(A, B))
 
 
 def harmonic_unit(t: float, A) -> np.ndarray:

@@ -11,18 +11,18 @@ computed by funcalc._sigma (A !_t B itself is the single atom at t), which
 for f(z) = z^lam reproduces the weighted geometric mean.  Every integral
 here, drury_half and geometric_neg included, is funcalc._integrate, the one
 quadrature of the package, on an inverted pair: ((1-t) P + t Q)^{-1} is
-P^{-1} !_t Q^{-1}.  Every integral chooses its order by doubling from 8
-until the result moves by at most 1e-8 relative, at the scale that centres
-the spectrum of its pencil on 1 (funcalc._balance), so the order follows M/m
-and not where the spectra of A and B lie.  The geometric mean is
-evaluated along three routes whose mutual agreement is enforced at 1e-8:
-the measure integral, the congruence through the principal square root, and
+P^{-1} !_t Q^{-1}.  Every integral's plan, its order and the scale of its
+variable, is chosen there (the order by doubling from 8 until the result
+moves by at most 1e-8 relative); this module only hands a chosen plan on to
+the routes that cross-check it.  The geometric mean is evaluated along three
+routes whose mutual agreement is enforced at 1e-8: the measure integral,
+the congruence through the principal square root, and
 homogeneity, A #_lam B = 2^-lam (A #_lam 2B) (Kubo-Ando).  The homogeneity
 route integrates the pencil with its eigenvalues doubled, which moves its
 Gauss-Jacobi nodes to t = u/(2-u) in the measure route's variable, so its
 quadrature error differs from the measure route's and a too-low order shows
 as disagreement.  The congruence route checks the algebra; both run at the
-order and the scale the measure route chose.
+plan the measure route chose.
 """
 
 from __future__ import annotations
@@ -84,18 +84,18 @@ def sigma_mean(A, B, f: MonotoneFunction) -> np.ndarray:
     return funcalc._sigma(A, B, f.measure)[0]
 
 
-def _congruence(A, B, f: MonotoneFunction, order=None, scale=None):
+def _congruence(A, B, f: MonotoneFunction, plan=None):
     """(S, F) = (A^{1/2}, f(A^{-1/2} B A^{-1/2})) of the congruence route.
 
     The inner matrix is generally not accretive, but its spectrum avoids
     (-inf, 0] whenever A and B are accretive, so the harmonic-mean integral
-    for f still applies; a given order and scale are used as is.
+    for f still applies; a given plan is used as is.
     """
     S = principal_sqrt(A)
     Sinv = solve_stack(S[None])[0]
     M = Sinv @ B @ Sinv
     eye = np.eye(M.shape[0], dtype=np.complex128)
-    return S, funcalc._sigma(eye, M, f.measure, order, scale)[0]
+    return S, funcalc._sigma(eye, M, f.measure, plan)[0]
 
 
 def congruence_sigma(A, B, f: MonotoneFunction) -> np.ndarray:
@@ -108,25 +108,22 @@ def congruence_sigma(A, B, f: MonotoneFunction) -> np.ndarray:
 def geometric_paths(A, B, lam: float):
     """The three geometric-mean evaluations (measure, congruence, homogeneity).
 
-    The measure route chooses the order by doubling; the other two routes
-    run at it and at its scale (see funcalc._integrate).  The homogeneity
-    route is 2^-lam (A #_lam 2B) at that order and scale, whose nodes sit
-    elsewhere on the pencil; a scale of its own, a power of two, could undo
-    the halving and put it back on the measure route's nodes.
+    The measure route chooses the plan (order and scale, see
+    funcalc._integrate); the other two routes run at it.  The homogeneity
+    route is 2^-lam (A #_lam 2B) at that plan, whose nodes sit elsewhere on
+    the pencil; a scale of its own, a power of two, could undo the halving
+    and put it back on the measure route's nodes.
     """
     if not 0.0 < lam < 1.0:
         raise ParameterError(f"lambda must be in (0, 1), got {lam}")
     A, B = _operands(A, B)
     f = catalog("power", lam)
-    # the pair is inverted once, for the scale and the measure and homogeneity routes
-    pair = np.stack([A, B])
-    Ainv, Binv = inv = solve_stack(pair)
-    c = funcalc._balance(f.measure.density, inv, pair)
-    via_measure, order = funcalc._integrate(Ainv, Binv, f.measure, scale=c)
+    # the pair is inverted once, for the measure and homogeneity routes
+    Ainv, Binv = solve_stack(np.stack([A, B]))
+    via_measure, plan = funcalc._integrate(Ainv, Binv, f.measure, ends=(A, B))
     # A^{1/2} B^{-1} A^{1/2}, the congruence route's pencil, is similar to A B^{-1}
-    S, F = _congruence(A, B, f, order, c)
-    via_homogeneity = 2.0 ** -lam * funcalc._integrate(Ainv, Binv / 2.0, f.measure, order,
-                                                       scale=c)[0]
+    S, F = _congruence(A, B, f, plan)
+    via_homogeneity = 2.0 ** -lam * funcalc._integrate(Ainv, Binv / 2.0, f.measure, plan)[0]
     return via_measure, S @ F @ S, via_homogeneity
 
 
@@ -153,14 +150,11 @@ def drury_half(A, B) -> np.ndarray:
     The substitution u = t^2/(1+t^2) turns the average into the integral of
     ((1-u) B + u A)^-1 = B^-1 !_u A^-1 against the arcsine law on [0, 1],
     which is the measure of z^(1/2); the final inversion recovers the mean.
-    The order is chosen as in sigma_mean, at the scale the pair and its
-    inverses give (see funcalc._balance).  Agrees with
+    The plan is chosen as in sigma_mean.  Agrees with
     geometric_mean(A, B, 1/2) within 1e-7.
     """
     A, B = _operands(A, B)
-    pair = np.stack([B, A])
-    c = funcalc._balance(_HALF.density, pair, solve_stack(pair))
-    S, _ = funcalc._integrate(B, A, _HALF, scale=c)
+    S, _ = funcalc._integrate(B, A, _HALF)
     return solve_stack(S[None])[0]
 
 
@@ -171,21 +165,19 @@ def geometric_neg(A, B, lam: float) -> np.ndarray:
     A { sin(lam pi)/pi int t^(lam-1) (1-t)^(-lam) (A^-1 !_t B^-1) dt } A
     (where A^-1 !_t B^-1 = ((1-t) A + t B)^-1 needs no pre-inversion) and
     cross-checks it against A^{1/2} (A^{-1/2} B A^{-1/2})^{-lam} A^{1/2}
-    within 1e-8.  The integral chooses its order by doubling, as in
-    sigma_mean, and the cross-check runs at that order and the matching scale.
+    within 1e-8.  The integral chooses its plan as in sigma_mean, and the
+    cross-check runs at its order and the matching scale.
     """
     if not 0.0 < lam < 1.0:
         raise ParameterError(f"lambda must be in (0, 1), got {lam}")
     A, B = _operands(A, B)
     f = catalog("power", lam)
-    pair = np.stack([A, B])
-    c = funcalc._balance(f.measure.density, pair, solve_stack(pair))
-    J, order = funcalc._integrate(A, B, f.measure, scale=c)
+    J, (order, c) = funcalc._integrate(A, B, f.measure)
     result = A @ J @ A
 
     # the congruence route's pencil A^{1/2} B^{-1} A^{1/2} has the reciprocal
     # spectrum of A^{-1} B, so its scale is 1/c
-    S, F = _congruence(A, B, f, order, 1.0 / c)
+    S, F = _congruence(A, B, f, (order, 1.0 / c))
     other = S @ solve_stack(F[None])[0] @ S
     dev = _rel_dev(result, other)
     if dev > 1e-8:

@@ -338,14 +338,33 @@ class TestAdaptiveOrder:
     def test_pinned_order_returns_its_own_value(self):
         A = random_sectorial(EnsembleSpec(dim=4, alpha_max=1.2, m=1.0, M=100.0, count=1, seed=3), 0)
         f = catalog("power", 0.3)
-        pinned, order = funcalc._sigma(np.eye(4, dtype=np.complex128), A, f.measure, 4)
-        assert order == 4
+        eye = np.eye(4, dtype=np.complex128)
+        _, (_, c) = funcalc._sigma(eye, A, f.measure)
+        pinned, plan = funcalc._sigma(eye, A, f.measure, (4, c))
+        assert plan == (4, c)
         # unpinned, the same call chooses its own order and converges
         assert maxabs(apply_function(f, A) - pinned) > 1e-6
 
+    @pytest.mark.parametrize("s", [1.0, 1e4])
+    def test_pinned_plan_reproduces_the_chosen_value(self, s):
+        # the plan a call returns, pinned, gives the value it chose to the
+        # bit, at the scale 1 and at one _balance moved off 1
+        spec = EnsembleSpec(dim=4, alpha_max=1.2, m=1.0, M=100.0, count=2, seed=3)
+        A, B = random_sectorial(spec, 0), s * random_sectorial(spec, 1)
+        measure = catalog("power", 0.3).measure
+        X, plan = funcalc._sigma(A, B, measure)
+        assert (plan[1] == 1.0) == (s == 1.0)
+        assert np.array_equal(funcalc._sigma(A, B, measure, plan)[0], X)
+        Y, plan = funcalc._integrate(A, B, measure)
+        assert (plan[1] == 1.0) == (s == 1.0)
+        assert np.array_equal(funcalc._integrate(A, B, measure, plan)[0], Y)
+
     def test_unconverged_at_max_order_raises(self, monkeypatch):
-        # ((1-t) 1e-12 + t (1 + 1e-12))^-1 = 1/(t + 1e-12) is all but singular
-        # at t = 0: no order up to 512 integrates it, and each doubling
+        # on the pencil (I, diag(1e12, 1e-12)) the resolvent's first entry
+        # 1/(1 + t (1e12 - 1)) is all but singular at t = 0 and its second
+        # 1/(1 - t (1 - 1e-12)) at t = 1, and no scale can centre a spectrum
+        # 1e24 wide (the chosen one is 1): no order up to 512 integrates it.
+        # One inversion of the pencil gives the scale, and each doubling
         # evaluates only the new order
         batches = []
 
@@ -354,8 +373,9 @@ class TestAdaptiveOrder:
             return solve_stack(stack)
 
         monkeypatch.setattr(funcalc, "solve_stack", counting)
-        eye = np.eye(2, dtype=np.complex128)
+        P, Q = np.eye(2, dtype=np.complex128), np.diag([1e12, 1e-12]).astype(np.complex128)
         measure = catalog("power", 0.5).measure
+        assert funcalc._balance(measure.density, [P, Q], np.linalg.inv([P, Q])) == 1.0
         with pytest.raises(NumericFailureError, match="not converged at order 256"):
-            funcalc._integrate(1e-12 * eye, (1.0 + 1e-12) * eye, measure)
-        assert batches == [8 + 16, 32, 64, 128, 256, 512]
+            funcalc._integrate(P, Q, measure)
+        assert batches == [2, 8 + 16, 32, 64, 128, 256, 512]

@@ -328,7 +328,9 @@ class TestAdaptiveOrder:
             return maxabs(X - Y) <= 1e-10 * (1 + maxabs(Y))
 
         def at_512(X, Y):
-            return funcalc._sigma(X, Y, f.measure, 512)[0]
+            # at the scale the unpinned call chooses
+            _, (_, c) = funcalc._sigma(X, Y, f.measure)
+            return funcalc._sigma(X, Y, f.measure, (512, c))[0]
 
         assert close(sigma_mean(A, B, f), at_512(A, B))
         assert close(geometric_mean(A, B, 0.3), at_512(A, B))
@@ -414,6 +416,26 @@ class TestScaledPair:
         via_measure, via_congruence, via_homogeneity = geometric_paths(A, 1e4 * B, 0.3)
         assert maxabs(via_measure - via_congruence) <= 1e-12 * maxabs(via_measure)
         assert maxabs(via_measure - via_homogeneity) > 1e-8 * (1 + maxabs(via_measure))
+
+
+class TestOnePlan:
+    # _integrate makes every quadrature plan: each public call on a density
+    # balances its pencil once, and its cross-check routes reuse the plan
+    @pytest.mark.parametrize("compute", [
+        lambda A, B: sigma_mean(A, B, catalog("power", 0.3)),
+        lambda A, B: geometric_mean(A, B, 0.3),
+        lambda A, B: geometric_neg(A, B, 0.3),
+        lambda A, B: drury_half(A, B),
+    ], ids=["sigma_mean", "geometric_mean", "geometric_neg", "drury_half"])
+    @pytest.mark.parametrize("s", [1.0, 1e4])
+    def test_balance_runs_once_per_call(self, compute, s, monkeypatch):
+        scales, balance = [], funcalc._balance
+        monkeypatch.setattr(funcalc, "_balance",
+                            lambda *args: scales.append(balance(*args)) or scales[-1])
+        A, B = pair(4, 1.2, 3, M=10.0)
+        compute(A, s * B)
+        assert len(scales) == 1
+        assert (scales[0] == 1.0) == (s == 1.0)
 
 
 class TestOneKernel:
