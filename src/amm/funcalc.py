@@ -49,7 +49,7 @@ _CHUNK = 128
 
 
 def _drift(X: np.ndarray, X2: np.ndarray) -> float:
-    return maxabs(X2 - X) / (1.0 + maxabs(X))
+    return maxabs(X2 - X) / maxabs(X)
 
 
 def _not_converged(order: int, drift: float) -> NumericFailureError:
@@ -66,8 +66,10 @@ def _converged(
     compute(orders) evaluates the quadrature at each of the given orders in
     one batch.  The order is chosen by doubling from _START_ORDER: orders 8
     and 16 share one batch, and the higher-order value is returned once
-    doubling moves the result by at most 1e-8 relative to its size; a
-    larger move at _MAX_ORDER raises NumericFailureError.  A pinned order is
+    doubling moves the result by at most 1e-8 relative to its size (the
+    entrywise max norm, so a result far below 1 is held to the same relative
+    test as any other); a larger move at _MAX_ORDER, or one that is not a
+    number, raises NumericFailureError.  A pinned order is
     computed as given; only routes that must run at the nodes of an order
     already chosen pin one.
     """
@@ -75,7 +77,7 @@ def _converged(
         return compute((order,))[0], order
     order = 2 * _START_ORDER
     X, X2 = compute((_START_ORDER, order))
-    while (drift := _drift(X, X2)) > _DRIFT_TOL:
+    while not (drift := _drift(X, X2)) <= _DRIFT_TOL:
         if order >= _MAX_ORDER:
             raise _not_converged(order // 2, drift)
         order *= 2
@@ -331,7 +333,9 @@ def _balance(d: DensitySpec, pencil, inverses) -> float:
     _integrate) mu moves to mu/c.  The spectrum lies within [2^lo, 2^hi], lo
     and hi from the entrywise max norms of P, Q and their inverses, and c is
     the centre 2^((lo+hi)/2) rounded to a power of two (so Q/c is exact), or
-    1 when that centre lies within a factor 4 of 1.  Unless e0 + e1 = -1
+    1 when that centre lies within a factor 4 of 1.  Its exponent is clamped
+    to [-1022, 1023], so c stays a finite normal double; a spectrum that this
+    c cannot centre is left to the doubling, which refuses it.  Unless e0 + e1 = -1
     (every power density), the weight factor of _integrate has a pole where
     t is infinite, as an eigenvalue 1 would, so the interval is widened to
     hold 1 first.
@@ -342,7 +346,7 @@ def _balance(d: DensitySpec, pencil, inverses) -> float:
     if abs(d.exp0 + d.exp1 + 1.0) > 1e-12:
         lo, hi = min(lo, 0.0), max(hi, 0.0)
     centre = (lo + hi) / 2.0
-    return 1.0 if abs(centre) <= 2.0 else 2.0 ** round(centre)
+    return 1.0 if abs(centre) <= 2.0 else 2.0 ** min(max(round(centre), -1022), 1023)
 
 
 def _integrate(P, Q, measure: MeasureSpec, plan=None, ends=None):

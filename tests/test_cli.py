@@ -93,6 +93,19 @@ class TestCompute:
                      "--out", str(tmp_path / "x.json")])
         assert code == 3
 
+    @pytest.mark.parametrize("op, flag", [
+        ("sigma", ["--fn", "power", "--param", "0.3"]), ("geometric", ["--lambda", "0.3"]),
+    ])
+    def test_extreme_scale_exit_4(self, tmp_path, capsys, op, flag):
+        # the pencil's spectrum near 1e-312 is beyond any scale: a numeric
+        # refusal, not an OverflowError
+        a = write_mat(tmp_path / "a.json", 1e306 * np.eye(2))
+        b = write_mat(tmp_path / "b.json", 1e-6 * np.eye(2))
+        code = main(["compute", "--op", op, "--a", a, "--b", b,
+                     "--out", str(tmp_path / "x.json")] + flag)
+        assert code == 4
+        assert "not converged" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "op", ["harmonic", "arithmetic", "geometric", "geometric-neg", "sigma", "func"])
     def test_missing_flag_exit_2(self, matrices, tmp_path, capsys, op):

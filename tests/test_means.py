@@ -418,6 +418,46 @@ class TestScaledPair:
         assert maxabs(via_measure - via_homogeneity) > 1e-8 * (1 + maxabs(via_measure))
 
 
+class TestSmallResults:
+    # J = A^-1 #_lam B^-1 and (A # B)^-1 are about 1/s in size: the doubling
+    # test must be relative to them, or at s = 1e3 it settles at 2e-9 off
+    @pytest.mark.parametrize("compute, lam", [
+        (lambda A, B: drury_half(A, B), 0.5),
+        (lambda A, B: geometric_neg(A, B, 0.3), -0.3),
+    ], ids=["drury_half", "geometric_neg"])
+    def test_scaled_edge_pair_matches_scipy(self, compute, lam):
+        from scipy.linalg import fractional_matrix_power, sqrtm
+
+        spec = EnsembleSpec(dim=8, alpha_max=1.4, m=1.0, M=100.0, count=8, seed=1)
+        A, B = 1e3 * random_sectorial(spec, 0), 1e3 * random_sectorial(spec, 1)
+        S = sqrtm(A)
+        Sinv = np.linalg.inv(S)
+        want = S @ fractional_matrix_power(Sinv @ B @ Sinv, lam) @ S
+        assert maxabs(compute(A, B) - want) <= 1e-12 * maxabs(want)
+
+
+class TestExtremeScale:
+    # spectra of P^-1 Q near 1e312 and 1e-314 lie beyond any scale a double
+    # can hold: each mean refuses instead of returning NaN or overflowing
+    @pytest.mark.parametrize("a, b", [(1e306, 1e-6), (1e-6, 8e307)])
+    @pytest.mark.parametrize("compute", [
+        lambda A, B: sigma_mean(A, B, catalog("power", 0.3)),
+        lambda A, B: geometric_mean(A, B, 0.3),
+        lambda A, B: drury_half(A, B),
+    ], ids=["sigma_mean", "geometric_mean", "drury_half"])
+    def test_refused(self, a, b, compute):
+        eye = np.eye(2, dtype=np.complex128)
+        with pytest.raises(NumericFailureError, match="not converged"):
+            compute(a * eye, b * eye)
+
+    def test_wide_but_centred_pair_is_exact(self):
+        # 1e306 apart, but the clamped scale still centres it
+        eye = np.eye(2, dtype=np.complex128)
+        got = sigma_mean(1e-6 * eye, 1e300 * eye, catalog("power", 0.3))
+        want = math.exp(0.7 * math.log(1e-6) + 0.3 * math.log(1e300))
+        assert maxabs(got - want * eye) <= 1e-13 * want
+
+
 class TestOnePlan:
     # _integrate makes every quadrature plan: each public call on a density
     # balances its pencil once, and its cross-check routes reuse the plan
