@@ -69,7 +69,6 @@ from .sector import (
     is_accretive,
     random_pd,
     random_sectorial,
-    re_bounds,
     sectorial_angle,
 )
 from .verify import (

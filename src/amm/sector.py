@@ -74,12 +74,6 @@ def sectorial_angle(A) -> float:
     return certify(A).alpha
 
 
-def re_bounds(A) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of Re A, for accretive A."""
-    cert = certify(A)
-    return cert.m, cert.M
-
-
 def _rng(seed: int, index: int, salt: int = 0) -> np.random.Generator:
     # Counter-style seeding: a pure function of (seed, index), so ensemble
     # members are independent of iteration order and safe to parallelize.

@@ -12,7 +12,6 @@ from amm.sector import (
     is_accretive,
     random_pd,
     random_sectorial,
-    re_bounds,
     sectorial_angle,
 )
 
@@ -95,19 +94,22 @@ class TestAngle:
         with pytest.raises(PreconditionError):
             sectorial_angle(np.array([[1j]]))
         with pytest.raises(PreconditionError):
-            re_bounds(np.array([[-1.0]]))
+            sector.certify(np.array([[-1.0]]))
 
 
-class TestReBounds:
+class TestCertifyReBounds:
+    # certify's (m, M) are lambda_min and lambda_max of Re A
     def test_identity(self):
-        assert re_bounds(np.eye(3)) == pytest.approx((1.0, 1.0))
+        cert = sector.certify(np.eye(3))
+        assert (cert.m, cert.M) == pytest.approx((1.0, 1.0))
 
     def test_diag(self):
-        assert re_bounds(np.diag([1.0, 4.0])) == pytest.approx((1.0, 4.0))
+        cert = sector.certify(np.diag([1.0, 4.0]))
+        assert (cert.m, cert.M) == pytest.approx((1.0, 4.0))
 
     def test_analytic_2x2(self):
-        A = np.array([[2, 1j], [-1j, 2]], dtype=complex)
-        assert re_bounds(A) == pytest.approx((1.0, 3.0))
+        cert = sector.certify(np.array([[2, 1j], [-1j, 2]], dtype=complex))
+        assert (cert.m, cert.M) == pytest.approx((1.0, 3.0))
 
 
 class TestGenerator:
@@ -118,8 +120,8 @@ class TestGenerator:
             A = random_sectorial(spec, i)
             assert is_accretive(A)[0]
             assert sectorial_angle(A) <= alpha + 1e-10
-            m, M = re_bounds(A)
-            assert spec.m - 1e-10 <= m <= M <= spec.M + 1e-10
+            cert = sector.certify(A)
+            assert spec.m - 1e-10 <= cert.m <= cert.M <= spec.M + 1e-10
 
     def test_flat_ensembles_are_exactly_hermitian(self):
         spec = spec_for(4, 0.0, count=10)
