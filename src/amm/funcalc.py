@@ -14,7 +14,7 @@ represented as point atoms plus a Jacobi-type density t^e0 (1-t)^e1 and is
 integrated by Gauss-Jacobi rules matched to the endpoint exponents, built by
 Golub-Welsch.  _integrate alone makes the plan of each integral, an order
 and a scale: the order is doubled from 8 until the result settles (see
-_converged), and the scale of a Moebius change of variable centres the
+_converged), and the scale c of a Moebius change of variable centres the
 spectrum of the pencil on 1 (see _balance), so the order follows M/m and not
 where the spectrum lies; in the paper's terms f(A) = f(s) g(A/s) with
 s = 1/c, which for a power density is the homogeneity of the mean.  A route
@@ -323,7 +323,7 @@ def standard_catalog() -> tuple[MonotoneFunction, ...]:
     )
 
 
-def _balance(d: DensitySpec, pencil, inverses) -> float:
+def _balance(d: DensitySpec, pencil: np.ndarray, inverses) -> float:
     """The scale c of _integrate for density d on pencil = [P, Q]: a power of two, or 1.
 
     inverses = [P^{-1}, Q^{-1}].  The integrand ((1-t) P + t Q)^{-1} has a
@@ -334,11 +334,11 @@ def _balance(d: DensitySpec, pencil, inverses) -> float:
     and hi from the entrywise max norms of P, Q and their inverses, and c is
     the centre 2^((lo+hi)/2) rounded to a power of two (so Q/c is exact), or
     1 when that centre lies within a factor 4 of 1.  Its exponent is clamped
-    to [-1022, 1023], so c stays a finite normal double; a spectrum that this
-    c cannot centre is left to the doubling, which refuses it.  Unless e0 + e1 = -1
-    (every power density), the weight factor of _integrate has a pole where
-    t is infinite, as an eigenvalue 1 would, so the interval is widened to
-    hold 1 first.
+    to [-1022, 1023], so c stays a finite normal double; a spectrum that
+    this c cannot centre is left to the doubling, which refuses it.  Unless
+    e0 + e1 = -1 (every power density), the weight factor of _integrate has
+    a pole where t is infinite, as an eigenvalue 1 would, so the interval is
+    widened to hold 1 first.
     """
     p, q, p_inv, q_inv = np.abs(np.concatenate((pencil, inverses))).max(axis=(1, 2)).tolist()
     hi = math.log2(q) + math.log2(p_inv)

@@ -375,7 +375,8 @@ class TestAdaptiveOrder:
         monkeypatch.setattr(funcalc, "solve_stack", counting)
         P, Q = np.eye(2, dtype=np.complex128), np.diag([1e12, 1e-12]).astype(np.complex128)
         measure = catalog("power", 0.5).measure
-        assert funcalc._balance(measure.density, [P, Q], np.linalg.inv([P, Q])) == 1.0
+        pencil = np.array([P, Q])
+        assert funcalc._balance(measure.density, pencil, np.linalg.inv(pencil)) == 1.0
         with pytest.raises(NumericFailureError, match="not converged at order 256"):
             funcalc._integrate(P, Q, measure)
         assert batches == [2, 8 + 16, 32, 64, 128, 256, 512]
