@@ -323,7 +323,7 @@ def standard_catalog() -> tuple[MonotoneFunction, ...]:
     )
 
 
-def _balance(d: DensitySpec, pencil: np.ndarray, inverses) -> float:
+def _balance(d: DensitySpec, pencil, inverses) -> float:
     """The scale c of _integrate for density d on pencil = [P, Q]: a power of two, or 1.
 
     inverses = [P^{-1}, Q^{-1}].  The integrand ((1-t) P + t Q)^{-1} has a
@@ -340,7 +340,7 @@ def _balance(d: DensitySpec, pencil: np.ndarray, inverses) -> float:
     a pole where t is infinite, as an eigenvalue 1 would, so the interval is
     widened to hold 1 first.
     """
-    p, q, p_inv, q_inv = np.abs(np.concatenate((pencil, inverses))).max(axis=(1, 2)).tolist()
+    p, q, p_inv, q_inv = np.abs(np.array((*pencil, *inverses))).max(axis=(1, 2)).tolist()
     hi = math.log2(q) + math.log2(p_inv)
     lo = -math.log2(p) - math.log2(q_inv)
     if abs(d.exp0 + d.exp1 + 1.0) > 1e-12:
@@ -385,8 +385,8 @@ def _integrate(P, Q, measure: MeasureSpec, plan=None, ends=None):
     if d is None:
         return total, (0, 1.0)
     if plan is None:
-        pencil = np.stack([P, Q])
-        plan = (None, _balance(d, pencil, solve_stack(pencil) if ends is None else ends))
+        inverses = solve_stack(np.stack([P, Q])) if ends is None else ends
+        plan = (None, _balance(d, (P, Q), inverses))
     order, c = plan
 
     def weights(rule):
