@@ -97,7 +97,7 @@ class TestCompute:
         ("sigma", ["--fn", "power", "--param", "0.3"]), ("geometric", ["--lambda", "0.3"]),
     ])
     def test_extreme_scale_exit_4(self, tmp_path, capsys, op, flag):
-        # the pencil's spectrum near 1e-312 is beyond any scale: a numeric
+        # the pencil's spectrum near 1e312 is beyond any scale: a numeric
         # refusal, not an OverflowError
         a = write_mat(tmp_path / "a.json", 1e306 * np.eye(2))
         b = write_mat(tmp_path / "b.json", 1e-6 * np.eye(2))
