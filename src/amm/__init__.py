@@ -24,7 +24,6 @@ from .funcalc import (
     choose_contour,
     dunford_apply,
     gauss_jacobi_rule,
-    harmonic_unit,
     measure_mass,
     measure_mean,
     scalar_eval,
@@ -34,12 +33,10 @@ from .linalg import (
     FROBENIUS,
     OPERATOR,
     TRACE,
-    HermitianEigen,
     LoewnerVerdict,
     NormKind,
     TAU_EQ,
     TAU_LOEWNER,
-    hermitian_eigen,
     hermitian_part,
     imaginary_part,
     inverse,

@@ -178,26 +178,24 @@ def gauss_jacobi_rule(exp0: float, exp1: float, order: int) -> QuadratureRule:
     return _cached_rule(float(exp0), float(exp1), int(order))
 
 
-def measure_mass(measure: MeasureSpec) -> float:
-    """Total mass of the measure (atom weights plus density integral)."""
+def _moment(measure: MeasureSpec, p: int) -> float:
     _validate_measure(measure)
-    mass = sum(w for _, w in measure.atoms)
+    moment = sum(w * t**p for t, w in measure.atoms)
     d = measure.density
     if d is not None:
         rule = gauss_jacobi_rule(d.exp0, d.exp1, _START_ORDER)
-        mass += d.coeff * float(np.sum(rule.weights))
-    return float(mass)
+        moment += d.coeff * float(np.dot(rule.weights, rule.nodes**p))
+    return float(moment)
+
+
+def measure_mass(measure: MeasureSpec) -> float:
+    """Total mass of the measure (atom weights plus density integral)."""
+    return _moment(measure, 0)
 
 
 def measure_mean(measure: MeasureSpec) -> float:
     """First moment of the measure; equals f'(1) for the represented f."""
-    _validate_measure(measure)
-    mean = sum(w * t for t, w in measure.atoms)
-    d = measure.density
-    if d is not None:
-        rule = gauss_jacobi_rule(d.exp0, d.exp1, _START_ORDER)
-        mean += d.coeff * float(np.dot(rule.weights, rule.nodes))
-    return float(mean)
+    return _moment(measure, 1)
 
 
 @dataclass(frozen=True)
@@ -424,14 +422,6 @@ def _sigma(A: np.ndarray, B: np.ndarray, measure: MeasureSpec, plan=None):
     """
     P, Q = solve_stack(np.stack([A, B]))
     return _integrate(P, Q, measure, plan, ends=(A, B))
-
-
-def harmonic_unit(t: float, A) -> np.ndarray:
-    """I !_t A = ((1-t) I + t A^{-1})^{-1} for accretive A, with exact endpoints I and A."""
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError(f"t must be in [0, 1], got {t}")
-    A = require_accretive(A)
-    return _sigma(np.eye(A.shape[0], dtype=np.complex128), A, MeasureSpec(atoms=((t, 1.0),)))[0]
 
 
 def apply_function(f: MonotoneFunction, A) -> np.ndarray:

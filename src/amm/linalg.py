@@ -2,8 +2,8 @@
 
 Everything downstream (sector certification, functional calculus, means,
 verification) is built on the handful of operations defined here: Hermitian
-split, linear solves, Hermitian eigendecomposition, singular values,
-unitarily invariant norms, Loewner-order tests and the principal matrix
+split, linear solves, singular values, unitarily invariant norms,
+Loewner-order tests, the accretivity predicate and the principal matrix
 square root.  Eigen/solve work is delegated to LAPACK through numpy/scipy;
 the contracts (ordering, residuals, error reporting) are pinned here and in
 the test suite.
@@ -98,29 +98,6 @@ def solve_stack(stack: np.ndarray) -> np.ndarray:
         return np.linalg.inv(stack)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"singular matrix in batched solve: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition H = U diag(values) U* with ascending values."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eigen(H) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Input must be Hermitian within 1e-12 * (1 + max|H|); it is symmetrized
-    before factorization.  Eigenvalues come back ascending, eigenvectors as
-    the columns of a unitary matrix.
-    """
-    H = as_matrix(H)
-    if maxabs(H - H.conj().T) > 1e-12 * (1.0 + maxabs(H)):
-        raise InvalidInputError("matrix is not Hermitian within tolerance")
-    Hs = (H + H.conj().T) / 2.0
-    values, vectors = np.linalg.eigh(Hs)
-    return HermitianEigen(values=values, vectors=vectors)
 
 
 def singular_values(A) -> np.ndarray:

@@ -36,9 +36,6 @@ class PositiveLinearMap:
     dim_out: int
     operators: tuple   # Kraus factors V_k, each dim_in x dim_out
 
-    def __call__(self, A) -> np.ndarray:
-        return apply_map(self, A)
-
     def describe(self) -> dict:
         return {"variant": self.variant, "dim_in": self.dim_in, "dim_out": self.dim_out}
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import funcalc
 from .errors import NumericFailureError, ParameterError
 from .funcalc import MeasureSpec, MonotoneFunction, catalog
-from .linalg import as_matrix, maxabs, principal_sqrt, require_accretive, solve_stack
+from .linalg import as_matrix, principal_sqrt, require_accretive, solve_stack
 
 
 # the measure of z^(1/2): the arcsine law 1/pi * u^-1/2 (1-u)^-1/2 du
@@ -52,10 +52,6 @@ def _operands(A, B):
     """The operand pair as accretive matrices of equal shape."""
     A, B = _pair(A, B)
     return require_accretive(A, "A"), require_accretive(B, "B")
-
-
-def _rel_dev(X, Y) -> float:
-    return maxabs(X - Y) / (1.0 + max(maxabs(X), maxabs(Y)))
 
 
 def harmonic_mean(A, B, t: float) -> np.ndarray:
@@ -114,10 +110,8 @@ def geometric_paths(A, B, lam: float):
     the pencil; a scale of its own, a power of two, could undo the halving
     and put it back on the measure route's nodes.
     """
-    if not 0.0 < lam < 1.0:
-        raise ParameterError(f"lambda must be in (0, 1), got {lam}")
-    A, B = _operands(A, B)
     f = catalog("power", lam)
+    A, B = _operands(A, B)
     # the pair is inverted once, for the measure and homogeneity routes
     Ainv, Binv = solve_stack(np.stack([A, B]))
     via_measure, plan = funcalc._integrate(Ainv, Binv, f.measure, ends=(A, B))
@@ -138,7 +132,7 @@ def geometric_mean(A, B, lam: float) -> np.ndarray:
     catches an order that settled too early.
     """
     Pa, Pb, Pc = geometric_paths(A, B, lam)
-    worst = max(_rel_dev(Pa, Pb), _rel_dev(Pa, Pc), _rel_dev(Pb, Pc))
+    worst = max(funcalc._drift(Pa, Pb), funcalc._drift(Pa, Pc), funcalc._drift(Pb, Pc))
     if worst > 1e-8:
         raise NumericFailureError(f"geometric-mean paths disagree by {worst:.3e}")
     return Pa
@@ -168,10 +162,8 @@ def geometric_neg(A, B, lam: float) -> np.ndarray:
     within 1e-8.  The integral chooses its plan as in sigma_mean, and the
     cross-check runs at its order and the matching scale.
     """
-    if not 0.0 < lam < 1.0:
-        raise ParameterError(f"lambda must be in (0, 1), got {lam}")
-    A, B = _operands(A, B)
     f = catalog("power", lam)
+    A, B = _operands(A, B)
     J, (order, c) = funcalc._integrate(A, B, f.measure)
     result = A @ J @ A
 
@@ -179,7 +171,7 @@ def geometric_neg(A, B, lam: float) -> np.ndarray:
     # spectrum of A^{-1} B, so its scale is 1/c
     S, F = _congruence(A, B, f, (order, 1.0 / c))
     other = S @ solve_stack(F[None])[0] @ S
-    dev = _rel_dev(result, other)
+    dev = funcalc._drift(result, other)
     if dev > 1e-8:
         raise NumericFailureError(f"sharp_(-lam) routes disagree by {dev:.3e}")
     return result

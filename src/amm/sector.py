@@ -74,12 +74,6 @@ def sectorial_angle(A) -> float:
     return certify(A).alpha
 
 
-def _rng(seed: int, index: int, salt: int = 0) -> np.random.Generator:
-    # Counter-style seeding: a pure function of (seed, index), so ensemble
-    # members are independent of iteration order and safe to parallelize.
-    return np.random.default_rng((seed, salt, index))
-
-
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a complex Ginibre draw."""
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -99,7 +93,9 @@ def random_sectorial(spec: EnsembleSpec, index: int) -> np.ndarray:
     """
     if index < 0 or index >= spec.count:
         raise ParameterError(f"index {index} outside [0, {spec.count})")
-    rng = _rng(spec.seed, index)
+    # Counter-style seeding: a pure function of (seed, index), so ensemble
+    # members are independent of iteration order and safe to parallelize.
+    rng = np.random.default_rng((spec.seed, 0, index))
     n = spec.dim
     p = rng.uniform(spec.m, spec.M, size=n)
     U = haar_unitary(n, rng)

@@ -14,13 +14,13 @@ from amm.funcalc import (
     choose_contour,
     dunford_apply,
     gauss_jacobi_rule,
-    harmonic_unit,
     measure_mass,
     measure_mean,
     scalar_eval,
     standard_catalog,
 )
 from amm.linalg import maxabs, opnorm, solve_stack
+from amm.means import harmonic_mean
 from amm.sector import EnsembleSpec, haar_unitary, random_sectorial
 
 
@@ -122,18 +122,19 @@ class TestQuadrature:
 
 
 class TestHarmonicUnit:
+    # I !_t A is the weighted harmonic mean with the identity
     def test_endpoints(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
-        np.testing.assert_array_equal(harmonic_unit(0.0, A), np.eye(2))
-        np.testing.assert_array_equal(harmonic_unit(1.0, A), A)
+        np.testing.assert_array_equal(harmonic_mean(np.eye(2), A, 0.0), np.eye(2))
+        np.testing.assert_array_equal(harmonic_mean(np.eye(2), A, 1.0), A)
 
     def test_scalar_half(self):
-        got = harmonic_unit(0.5, np.array([[2.0]]))[0, 0]
+        got = harmonic_mean(np.eye(1), np.array([[2.0]]), 0.5)[0, 0]
         assert got == pytest.approx(4.0 / 3.0)
 
     def test_range_check(self):
         with pytest.raises(ParameterError):
-            harmonic_unit(1.5, np.eye(2))
+            harmonic_mean(np.eye(2), np.eye(2), 1.5)
 
 
 class TestApplyFunction:

@@ -95,30 +95,6 @@ class TestSolve:
             assert is_accretive(linalg.inverse(A))[0]
 
 
-class TestHermitianEigen:
-    def test_diagonal(self):
-        eig = linalg.hermitian_eigen(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(eig.values, [1.0, 3.0])
-
-    def test_analytic_2x2(self):
-        eig = linalg.hermitian_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(eig.values, [1.0, 3.0], atol=1e-14)
-
-    @pytest.mark.parametrize("n", [2, 5, 16])
-    def test_reconstruction(self, n):
-        H = rand_hermitian(np.random.default_rng(n), n)
-        eig = linalg.hermitian_eigen(H)
-        R = eig.vectors @ np.diag(eig.values) @ eig.vectors.conj().T
-        assert linalg.maxabs(R - H) <= 1e-10 * (1 + linalg.maxabs(H))
-        U = eig.vectors
-        assert linalg.maxabs(U.conj().T @ U - np.eye(n)) <= 1e-12
-        assert np.all(np.diff(eig.values) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InvalidInputError):
-            linalg.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestSingularValues:
     def test_unitary(self):
         from amm.sector import haar_unitary
