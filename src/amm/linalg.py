@@ -11,6 +11,7 @@ the test suite.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -49,9 +50,9 @@ def maxabs(A: np.ndarray) -> float:
 
 
 def hermitian_part(A) -> np.ndarray:
-    """(A + A*)/2, Hermitian by construction."""
+    """(A + A*)/2, Hermitian by construction; halving each term first cannot overflow."""
     A = as_matrix(A)
-    return (A + A.conj().T) / 2.0
+    return A / 2.0 + A.conj().T / 2.0
 
 
 def imaginary_part(A) -> np.ndarray:
@@ -219,16 +220,19 @@ def require_accretive(A, name: str = "matrix") -> np.ndarray:
 def principal_sqrt(A) -> np.ndarray:
     """Principal square root of an accretive matrix.
 
-    Denman-Beavers iteration: X0 = A, Y0 = I, X' = (X + Y^-1)/2,
-    Y' = (Y + X^-1)/2, stopping when the X-step falls below
-    1e-13 * max|X| (at most 100 iterations).  The result satisfies
-    max|X^2 - A| <= 1e-9 * (1 + max|A|) and has spectrum in the open right
-    half-plane.
+    Denman-Beavers iteration on A s^2, where s = 2^-k and
+    k = floor(log2(max|A|)/2 + 1/2) put max|A s^2| in [1/2, 2): X0 = A s^2,
+    Y0 = I, X' = (X + Y^-1)/2, Y' = (Y + X^-1)/2, stopping when the X-step
+    falls below 1e-13 * max|X| (at most 100 iterations); X/s is returned.
+    Unscaled, the step count grows like log2 sqrt(max|A|).  The result
+    satisfies max|X^2 - A| <= 1e-9 * (1 + max|A|), tested times s^2 so that
+    it cannot overflow, and has spectrum in the open right half-plane.
     """
     A = require_accretive(A, "principal_sqrt operand")
-    n = A.shape[0]
-    X = A.copy()
-    Y = np.eye(n, dtype=np.complex128)
+    k = math.floor(math.log2(maxabs(A)) / 2.0 + 0.5)
+    s2 = 2.0 ** (-2 * k)
+    X = As = A * s2
+    Y = np.eye(A.shape[0], dtype=np.complex128)
     for _ in range(100):
         Xi, Yi = solve_stack(np.stack([X, Y]))
         Xn = (X + Yi) / 2.0
@@ -237,9 +241,9 @@ def principal_sqrt(A) -> np.ndarray:
         X, Y = Xn, Yn
         if step <= 1e-13 * maxabs(X):
             break
-    residual = maxabs(X @ X - A)
-    if residual > 1e-9 * (1.0 + maxabs(A)):
+    residual = maxabs(X @ X - As) / (s2 + maxabs(As))
+    if not residual <= 1e-9:
         raise NumericFailureError(
-            f"square-root iteration did not converge: residual {residual:.3e}"
+            f"square-root iteration did not converge: relative residual {residual:.3e}"
         )
-    return X
+    return X * 2.0 ** k

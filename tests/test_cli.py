@@ -9,6 +9,7 @@ import pytest
 
 from amm import cli
 from amm.cli import main, read_matrix, write_matrix
+from amm.linalg import maxabs
 
 
 def write_mat(path, A):
@@ -105,6 +106,18 @@ class TestCompute:
                      "--out", str(tmp_path / "x.json")] + flag)
         assert code == 4
         assert "not converged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op, flag", [
+        ("sigma", ["--fn", "power", "--param", "0.3"]), ("geometric", ["--lambda", "0.3"]),
+    ])
+    def test_largest_doubles_exit_0(self, tmp_path, op, flag):
+        # an accretive operand near the largest double is accepted, not
+        # refused as non-accretive by an overflowing Hermitian part
+        a = write_mat(tmp_path / "a.json", 1e308 * np.eye(2))
+        out = tmp_path / "x.json"
+        code = main(["compute", "--op", op, "--a", a, "--b", a, "--out", str(out)] + flag)
+        assert code == 0
+        assert maxabs(read_matrix(out) - 1e308 * np.eye(2)) <= 1e-14 * 1e308
 
     @pytest.mark.parametrize(
         "op", ["harmonic", "arithmetic", "geometric", "geometric-neg", "sigma", "func"])

@@ -451,6 +451,35 @@ class TestExtremeScale:
         with pytest.raises(NumericFailureError, match="not converged"):
             compute(a * eye, b * eye)
 
+    @pytest.mark.parametrize("c", [1e308, 1.7e308])
+    @pytest.mark.parametrize("compute", [
+        lambda A, B: harmonic_mean(A, B, 0.3),
+        lambda A, B: sigma_mean(A, B, catalog("power", 0.3)),
+        lambda A, B: congruence_sigma(A, B, catalog("power", 0.3)),
+        lambda A, B: geometric_mean(A, B, 0.3),
+        lambda A, B: drury_half(A, B),
+        lambda A, B: geometric_neg(A, B, 0.3),
+    ], ids=["harmonic_mean", "sigma_mean", "congruence_sigma",
+            "geometric_mean", "drury_half", "geometric_neg"])
+    def test_largest_doubles(self, c, compute):
+        # every mean of (cI, cI) is cI; near the largest double nothing may
+        # overflow, in the accretivity test or in the square root
+        eye = np.eye(2, dtype=np.complex128)
+        assert maxabs(compute(c * eye, c * eye) - c * eye) <= 1e-14 * c
+
+    @pytest.mark.parametrize("c", [1e308, 1.7e308])
+    def test_largest_doubles_function(self, c):
+        eye = np.eye(2, dtype=np.complex128)
+        got = apply_function(catalog("power", 0.5), c * eye)
+        assert maxabs(got - math.sqrt(c) * eye) <= 1e-14 * math.sqrt(c)
+
+    def test_large_pair_is_homogeneous(self):
+        # the square root of the congruence route scales its operand first
+        spec = EnsembleSpec(dim=4, alpha_max=1.0, m=1.0, M=10.0, count=2, seed=3)
+        A, B = random_sectorial(spec, 0), random_sectorial(spec, 1)
+        want = 1e60 * geometric_mean(A, B, 0.5)
+        assert maxabs(geometric_mean(1e60 * A, 1e60 * B, 0.5) - want) <= 1e-12 * maxabs(want)
+
     def test_wide_but_centred_pair_is_exact(self):
         # 1e306 apart, but the clamped scale still centres it
         eye = np.eye(2, dtype=np.complex128)
