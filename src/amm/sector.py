@@ -95,6 +95,7 @@ def random_sectorial(spec: EnsembleSpec, index: int) -> np.ndarray:
         raise ParameterError(f"index {index} outside [0, {spec.count})")
     # Counter-style seeding: a pure function of (seed, index), so ensemble
     # members are independent of iteration order and safe to parallelize.
+    # The middle 0 keeps the draws of every existing ensemble.
     rng = np.random.default_rng((spec.seed, 0, index))
     n = spec.dim
     p = rng.uniform(spec.m, spec.M, size=n)
