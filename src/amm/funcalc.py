@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -39,17 +40,28 @@ from scipy.special import beta
 
 from . import linalg
 from .errors import InvalidInputError, NumericFailureError, ParameterError
-from .linalg import is_accretive, maxabs, require_accretive, solve_stack
+from .linalg import (
+    as_matrix,
+    is_accretive,
+    read_only,
+    require_accretive,
+    solve_stack,
+    stack_maxabs,
+)
 from .sector import certify
 
 _START_ORDER = 8
 _MAX_ORDER = 512
 _DRIFT_TOL = 1e-8
 _CHUNK = 128
+# complex entries of one resolvent stack of _integrate (8 MiB); a chunk holds
+# at least one sample
+_STACK_ENTRIES = 2**19
 
 
-def _drift(X: np.ndarray, X2: np.ndarray) -> float:
-    return maxabs(X2 - X) / maxabs(X)
+def _drift(X: np.ndarray, X2: np.ndarray):
+    """The relative move max|X2 - X| / max|X| of a matrix, or of each matrix of a stack."""
+    return stack_maxabs(X2 - X) / stack_maxabs(X)
 
 
 def _not_converged(order: int, drift: float) -> NumericFailureError:
@@ -58,31 +70,47 @@ def _not_converged(order: int, drift: float) -> NumericFailureError:
     )
 
 
-def _converged(
-    compute: Callable[[tuple[int, ...]], list], order: int | None = None
-) -> tuple[np.ndarray, int]:
-    """A quadrature value and the order it was taken at.
+def _converged(compute: Callable, order: int | None = None) -> tuple[np.ndarray, int | np.ndarray]:
+    """Quadrature values of a stack of samples, and the order each was taken at.
 
-    compute(orders) evaluates the quadrature at each of the given orders in
-    one batch.  The order is chosen by doubling from _START_ORDER: orders 8
-    and 16 share one batch, and the higher-order value is returned once
-    doubling moves the result by at most 1e-8 relative to its size (the
-    entrywise max norm, so a result far below 1 is held to the same relative
-    test as any other); a larger move at _MAX_ORDER, or one that is not a
-    number, raises NumericFailureError.  A pinned order is
-    computed as given; only routes that must run at the nodes of an order
-    already chosen pin one.
+    compute(orders, rows=None) evaluates the quadrature of the samples
+    ``rows`` (all of them by default) at each of the given orders in one
+    batch and returns one stack per order.  Each sample's order is chosen by
+    doubling from _START_ORDER: orders 8 and 16 share one batch, and a
+    sample's higher-order value is returned once doubling moves it by at
+    most 1e-8 relative to its size (the entrywise max norm, so a result far
+    below 1 is held to the same relative test as any other).  A sample that
+    has settled drops out, and only the pending ones are evaluated at the
+    next order, so every sample gets the order it would get alone.  A
+    larger move at _MAX_ORDER, or one that is not a number, raises
+    NumericFailureError for the first such sample.  The orders come back
+    as one number while all samples share one, else one per sample.  A
+    pinned order is computed as given, for every sample; only routes that
+    must run at the nodes of an order already chosen pin one.
     """
     if order:
         return compute((order,))[0], order
     order = 2 * _START_ORDER
     X, X2 = compute((_START_ORDER, order))
-    while not (drift := _drift(X, X2)) <= _DRIFT_TOL:
+    # rows: the samples still pending, None while that is all of them
+    values, orders, rows = X2, order, None
+    while True:
+        drift = _drift(X, X2)
+        if drift.max() <= _DRIFT_TOL:
+            return values, orders
+        late = ~(drift <= _DRIFT_TOL)
         if order >= _MAX_ORDER:
-            raise _not_converged(order // 2, drift)
-        order *= 2
-        X, X2 = X2, compute((order,))[0]
-    return X2, order
+            raise _not_converged(order // 2, drift[late][0])
+        if not late.all():
+            if rows is None:
+                rows, orders = np.arange(len(values)), np.full(len(values), order)
+            rows, X2 = rows[late], X2[late]
+        X, order = X2, 2 * order
+        X2 = compute((order,), rows)[0]
+        if rows is None:
+            values, orders = X2, order
+        else:
+            values[rows], orders[rows] = X2, order
 
 
 @dataclass(frozen=True)
@@ -321,106 +349,199 @@ def standard_catalog() -> tuple[MonotoneFunction, ...]:
     )
 
 
-def _balance(d: DensitySpec, pencil, inverses) -> float:
-    """The scale c of _integrate for density d on pencil = [P, Q]: a power of two, or 1.
+def _groups(keys: list) -> list:
+    """(key, rows) for each distinct key of a per-sample list, in order of first appearance."""
+    rows: dict = {}
+    for k, key in enumerate(keys):
+        rows.setdefault(key, []).append(k)
+    return [(key, np.array(r)) for key, r in rows.items()]
 
-    inverses = [P^{-1}, Q^{-1}].  The integrand ((1-t) P + t Q)^{-1} has a
-    pole at t = 1/(1 - mu) for each eigenvalue mu of P^{-1} Q, near t = 0
-    for a large mu and near t = 1 for a small one, so the order the doubling
+
+def _balance(d, pencil, inverses):
+    """The scale c of _integrate for density d on pencil = (P, Q): a power of two, or 1.
+
+    inverses = (P^{-1}, Q^{-1}).  P and Q may be stacks, and d one density
+    or one per sample; each sample gets its own c, in an array of their
+    leading shape.  The integrand ((1-t) P + t Q)^{-1} has a pole at
+    t = 1/(1 - mu) for each eigenvalue mu of P^{-1} Q, near t = 0 for a
+    large mu and near t = 1 for a small one, so the order the doubling
     needs grows with the distance of the spectrum from 1.  In u (see
-    _integrate) mu moves to mu/c.  The spectrum lies within [2^lo, 2^hi], lo
-    and hi from the entrywise max norms of P, Q and their inverses, and c is
-    the centre 2^((lo+hi)/2) rounded to a power of two (so Q/c is exact), or
-    1 when that centre lies within a factor 4 of 1.  Its exponent is clamped
-    to [-1022, 1023], so c stays a finite normal double; a spectrum that
-    this c cannot centre is left to the doubling, which refuses it.  Unless
-    e0 + e1 = -1 (every power density), the weight factor of _integrate has
-    a pole where t is infinite, as an eigenvalue 1 would, so the interval is
-    widened to hold 1 first.
+    _integrate) mu moves to mu/c.  The spectrum lies within [2^lo, 2^hi],
+    lo and hi from the entrywise max norms of P, Q and their inverses, and
+    c is the centre 2^((lo+hi)/2) rounded to a power of two (so Q/c is
+    exact), or 1 when that centre lies within a factor 4 of 1.  Its
+    exponent is clamped to [-1022, 1023], so c stays a finite normal
+    double; a spectrum that this c cannot centre is left to the doubling,
+    which refuses it.  Unless e0 + e1 = -1 (every power density), the
+    weight factor of _integrate has a pole where t is infinite, as an
+    eigenvalue 1 would, so the interval is widened to hold 1 first.
     """
-    p, q, p_inv, q_inv = np.abs(np.array((*pencil, *inverses))).max(axis=(1, 2)).tolist()
-    hi = math.log2(q) + math.log2(p_inv)
-    lo = -math.log2(p) - math.log2(q_inv)
-    if abs(d.exp0 + d.exp1 + 1.0) > 1e-12:
-        lo, hi = min(lo, 0.0), max(hi, 0.0)
-    centre = (lo + hi) / 2.0
-    return 1.0 if abs(centre) <= 2.0 else 2.0 ** min(max(round(centre), -1022), 1023)
+    shape = pencil[0].shape[:-2]
+    samples = stack_maxabs(np.array((*pencil, *inverses))).reshape(4, -1).T.tolist()
+    densities = [d] * len(samples) if isinstance(d, DensitySpec) else d
+
+    def scale(d, p, q, p_inv, q_inv):
+        hi = math.log2(q) + math.log2(p_inv)
+        lo = -math.log2(p) - math.log2(q_inv)
+        if abs(d.exp0 + d.exp1 + 1.0) > 1e-12:
+            lo, hi = min(lo, 0.0), max(hi, 0.0)
+        centre = (lo + hi) / 2.0
+        return 1.0 if abs(centre) <= 2.0 else 2.0 ** min(max(round(centre), -1022), 1023)
+
+    scales = [scale(dk, *sample) for dk, sample in zip(densities, samples)]
+    return np.array(scales).reshape(shape)
 
 
-def _integrate(P, Q, measure: MeasureSpec, plan=None, ends=None):
-    """(integral of ((1-t) P + t Q)^{-1} over the measure, its plan (order, scale)).
+def _atom_sum(atoms, P, Q, ends) -> np.ndarray:
+    """Sum over the atoms (t, w) of w ((1-t) P + t Q)^{-1}, per matrix of the stacks P, Q.
 
-    The one quadrature of the package, and the one place its plan is made.
-    The density is integrated in u = c t / (1 - t + c t), the Moebius map of
-    [0, 1] with t = u / D and D = c (1-u) + u: the density
-    t^e0 (1-t)^e1 dt becomes u^e0 (1-u)^e1 c^(e1+1) D^-(e0+e1+2) du and the
-    resolvent (D/c) ((1-u) P + u Q/c)^{-1}, so the same Gauss-Jacobi rules
-    apply to the pencil (P, Q/c), each weight times c^e1 D^-(e0+e1+1).  For a
-    power density (e0 + e1 = -1) that factor is the constant c^e1, the
-    homogeneity of the mean.  At c = 1 every factor is exactly 1.
-    Without a plan the scale c is _balance's for the pencil, from ends when
-    given and otherwise from one inversion of [P, Q], and the order is the
-    doubling's (see _converged); a route that must run at the nodes of
-    another passes that route's plan, which is used as is.  The resolvents
-    at the density nodes of every order _converged asks for go to
-    solve_stack in one batch (an interior atom is a batch of one).
-    ends = (P^{-1}, Q^{-1}), when given, are the exact values of atoms at
-    t = 0 and t = 1.  Summation order is fixed: atoms in declaration order,
-    then nodes by index.  Pure-atom measures are exact: they are evaluated
-    once, unchecked, and report the plan (0, 1.0).
+    ends = (P^{-1}, Q^{-1}), when given, are the exact values at t = 0 and 1.
     """
-    def resolvents(a, b):
-        return solve_stack(a[:, None, None] * P + b[:, None, None] * Q)
-
     total = None
-    for t, w in measure.atoms:
+    for t, w in atoms:
         if ends is not None and t in (0.0, 1.0):
             term = w * ends[int(t)]
         else:
-            term = w * resolvents(np.array([1.0 - t]), np.array([t]))[0]
+            term = w * solve_stack((1.0 - t) * P + t * Q)
         total = term if total is None else total + term
-    d = measure.density
-    if d is None:
-        return total, (0, 1.0)
-    if plan is None:
-        inverses = solve_stack(np.stack([P, Q])) if ends is None else ends
-        plan = (None, _balance(d, (P, Q), inverses))
-    order, c = plan
+    return total
 
-    def weights(rule):
+
+@lru_cache(maxsize=256)
+def _nodes(d: DensitySpec, orders: tuple, c: float) -> tuple:
+    """Nodes u and weights W of _integrate for density d at scale c, read-only.
+
+    u holds the nodes of the given orders' rules in one row; W holds one row
+    of weights per order, those of the rule times the factor
+    c^e1 D^-(e0+e1+1) of the change of variable (see _integrate), exactly 1
+    at c = 1.
+    """
+    rules = [gauss_jacobi_rule(d.exp0, d.exp1, k) for k in orders]
+    W = []
+    for rule in rules:
         w = d.coeff * rule.weights
-        if c == 1.0:
-            return w
-        u = rule.nodes
-        return w * (c ** d.exp1 * (c * (1.0 - u) + u) ** -(d.exp0 + d.exp1 + 1.0))
+        if c != 1.0:
+            u = rule.nodes
+            w = w * (c ** d.exp1 * (c * (1.0 - u) + u) ** -(d.exp0 + d.exp1 + 1.0))
+        W.append(read_only(w[None]))
+    return read_only(np.concatenate([rule.nodes for rule in rules])[None]), W
 
-    def compute(orders):
-        rules = [gauss_jacobi_rule(d.exp0, d.exp1, k) for k in orders]
-        u = np.concatenate([rule.nodes for rule in rules])
-        # u/c Q = u (Q/c) to the bit: c is a power of two
-        stack = resolvents(1.0 - u, u / c)
-        values, start = [], 0
-        for rule in rules:
-            part = np.einsum("k,kij->ij", weights(rule), stack[start:start + rule.order])
-            values.append(part if total is None else total + part)
-            start += rule.order
+
+def _integrate(P, Q, measure, plan=None, ends=None):
+    """(integral of ((1-t) P + t Q)^{-1} over the measure, its plan (order, scale)).
+
+    The one quadrature of the package, and the one place its plan is made.
+    P and Q are matrices or (..., n, n) stacks of them; a stack is
+    integrated sample by sample, each sample with its own plan, in arrays
+    of the leading shape (a matrix is a stack of one, and its plan is a pair
+    of numbers), and measure is one MeasureSpec or one per sample.  A plan
+    given to be used as is is a pair of numbers, for every sample.  The measures of a
+    stack must agree on carrying atoms and a density; samples of equal
+    atoms share their atom solves, and samples of every density share one
+    resolvent batch.  The density is integrated in u = c t / (1 - t + c t),
+    the Moebius map of [0, 1] with t = u / D and D = c (1-u) + u: the
+    density t^e0 (1-t)^e1 dt becomes u^e0 (1-u)^e1 c^(e1+1) D^-(e0+e1+2) du
+    and the resolvent (D/c) ((1-u) P + u Q/c)^{-1}, so the same
+    Gauss-Jacobi rules apply to the pencil (P, Q/c), each weight times
+    c^e1 D^-(e0+e1+1).  For a power density (e0 + e1 = -1) that factor is
+    the constant c^e1, the homogeneity of the mean.  At c = 1 every factor
+    is exactly 1.  Without a plan the scale c is _balance's for the pencil,
+    from ends when given and otherwise from one inversion of [P, Q], and
+    the order is the doubling's (see _converged); a route that must run at
+    the nodes of another passes that route's plan, which is used as is.
+    The resolvents at the density nodes of every order _converged asks for
+    go to solve_stack in one batch per chunk of samples, a chunk holding at
+    most _STACK_ENTRIES complex entries or one sample.  ends = (P^{-1},
+    Q^{-1}), when given, are the exact values of atoms at t = 0 and t = 1.
+    Summation order is fixed: atoms in declaration order, then nodes by
+    index.  Pure-atom measures are exact: they are evaluated once,
+    unchecked, and report the plan (0, 1.0).
+    """
+    shape, n = P.shape, P.shape[-1]
+    P, Q = P.reshape(-1, n, n), Q.reshape(-1, n, n)
+    count = len(P)
+    if ends is not None:
+        ends = (ends[0].reshape(-1, n, n), ends[1].reshape(-1, n, n))
+    # the samples of each distinct measure: all of them for a single one
+    single = isinstance(measure, MeasureSpec)
+    measures = [measure] if single else list(measure)
+    first = measures[0]
+    if not single and any(bool(m.atoms) != bool(first.atoms)
+                          or (m.density is None) != (first.density is None) for m in measures):
+        raise ParameterError("the measures of a stack must agree on carrying atoms and a density")
+    total = None
+    if first.atoms:
+        if single:
+            total = _atom_sum(measure.atoms, P, Q, ends)
+        else:
+            total = np.empty((count, n, n), dtype=np.complex128)
+            for m, rows in _groups(measures):
+                part_ends = None if ends is None else (ends[0][rows], ends[1][rows])
+                total[rows] = _atom_sum(m.atoms, P[rows], Q[rows], part_ends)
+    if first.density is None:
+        return total.reshape(shape), (0, 1.0)
+    densities = [measure.density] * count if single else [m.density for m in measures]
+    if plan is None:
+        inverses = ends if ends is not None else np.split(solve_stack(np.concatenate([P, Q])), 2)
+        orders, scales = None, _balance(measure.density if single else densities, (P, Q), inverses)
+    else:
+        orders, scales = int(plan[0]), np.full(count, float(plan[1]))
+
+    def integrals(orders, W, u, r, c):
+        """Each order's weighted sum of the resolvents at its nodes u, for the samples r."""
+        # u/c Q = u (Q/c) to the bit: c is a power of two.  The coefficients
+        # are made complex first, as the product would cast them anyway, so
+        # the products take numpy's complex loop without a buffered cast.
+        pencil = (1.0 - u).astype(np.complex128)[:, :, None, None] * P[r, None]
+        pencil += (u / c[:, None]).astype(np.complex128)[:, :, None, None] * Q[r, None]
+        stack = solve_stack(pencil.reshape(-1, n, n)).reshape(pencil.shape)
+        bounds = [0, *accumulate(orders)]
+        return [np.einsum("...k,...kij->...ij", w, stack[:, lo:hi])
+                for w, lo, hi in zip(W, bounds, bounds[1:])]
+
+    def compute(orders, rows=None):
+        """Each order's value for the samples rows (all of them by default)."""
+        c = scales if rows is None else scales[rows]
+        ds = densities if rows is None else [densities[k] for k in rows.tolist()]
+        # each row's nodes and weights: one row for all when they share them
+        tables = [_nodes(d, orders, ck) for d, ck in zip(ds, c.tolist())]
+        shared = all(t is tables[0] for t in tables)
+        u, W = tables[0] if shared else (np.concatenate([t[0] for t in tables]),
+                                         [np.concatenate(w) for w in zip(*(t[1] for t in tables))])
+        step = max(1, _STACK_ENTRIES // (u.shape[1] * n * n))
+        parts = []
+        for lo in range(0, len(c), step):
+            part = slice(lo, lo + step)
+            own = slice(None) if shared else part
+            parts.append(integrals(orders, [w[own] for w in W], u[own],
+                                   part if rows is None else rows[part], c[part]))
+        values = parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
+        if total is not None:
+            values = [(total if rows is None else total[rows]) + X for X in values]
         return values
 
-    X, order = _converged(compute, order)
-    return X, (order, c)
+    X, orders = _converged(compute, orders)
+    if len(shape) == 2:  # a matrix: its plan as plain numbers
+        return X[0], (orders if isinstance(orders, int) else int(orders[0]), float(scales[0]))
+    orders = np.array([orders] * count) if isinstance(orders, int) else orders
+    return X.reshape(shape), (orders.reshape(shape[:-2]), scales.reshape(shape[:-2]))
 
 
-def _sigma(A: np.ndarray, B: np.ndarray, measure: MeasureSpec, plan=None):
+def _sigma(A: np.ndarray, B: np.ndarray, measure, plan=None):
     """(integral of A !_t B over the measure, the quadrature plan taken).
 
     A !_t B = ((1-t) A^{-1} + t B^{-1})^{-1}, exactly A and B at t = 0, 1:
     _integrate on the inverted pair, with A and B as its ends, so the plan
-    is chosen there unless one is given.  sigma_mean is this at (A, B), f(A)
-    at (I, A), and the weighted harmonic mean at a single atom.  A and B
-    come accretive: checked by the public means and f(A), or accretive by
-    construction in the suite engine.
+    is chosen there unless one is given.  A and B are matrices or stacks
+    of them, taken sample by sample, and measure one MeasureSpec or one per
+    sample (see _integrate).  sigma_mean is this at (A, B), f(A) at
+    (I, A), and the weighted harmonic mean at a single atom; the suite
+    engine calls it on the stacks of an ensemble.  A and B come accretive:
+    checked by the public means and f(A), or accretive by construction in
+    the suite engine.
     """
-    P, Q = solve_stack(np.stack([A, B]))
+    n = A.shape[-1]
+    P, Q = solve_stack(np.array((A, B)).reshape(-1, n, n)).reshape(2, *A.shape)
     return _integrate(P, Q, measure, plan, ends=(A, B))
 
 
@@ -431,7 +552,7 @@ def apply_function(f: MonotoneFunction, A) -> np.ndarray:
     turn.  The quadrature order is chosen by doubling until the result moves
     by at most 1e-8 relative (pure-atom measures are exact and skip it).
     """
-    A = require_accretive(A)
+    A = require_accretive(as_matrix(A))
     eye = np.eye(A.shape[0], dtype=np.complex128)
     F, _ = _sigma(eye, A, f.measure)
     ok, margin = is_accretive(F)
@@ -472,6 +593,7 @@ def choose_contour(A) -> DunfordContour:
     (Trefethen & Weideman, SIAM Review 56, 2014); nodes is 10% above the
     count where that reaches 1e-12, rounded up to a multiple of 8.
     """
+    A = as_matrix(A)
     cert = certify(A)
     lo, hi = math.log(cert.m), math.log(linalg.opnorm(A))
     c, h, a = (lo + hi) / 2.0, (hi - lo) / 2.0, cert.alpha
@@ -496,7 +618,7 @@ def dunford_apply(f: MonotoneFunction, A, contour: DunfordContour) -> np.ndarray
     through solve_stack _CHUNK nodes at a time, so memory stays
     O(_CHUNK n^2) whatever the node count.
     """
-    A = require_accretive(A)
+    A = require_accretive(as_matrix(A))
     if contour.nodes < 16:
         raise ParameterError("contour needs at least 16 nodes")
     d, eta = contour.d, contour.eta

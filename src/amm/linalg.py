@@ -34,13 +34,25 @@ TAU_LOEWNER = 1e-7
 TAU_EQ = 1e-8
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting non-finite entries."""
+def as_stack(a) -> np.ndarray:
+    """Coerce to a square complex matrix or a (..., n, n) stack of them.
+
+    The public functions that take stacks check their input here: a
+    non-square shape or a non-finite entry raises InvalidInputError.
+    """
     A = np.asarray(a, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
         raise InvalidInputError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("matrix has non-finite entries")
+    return A
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a square complex matrix, rejecting non-finite entries."""
+    A = as_stack(a)
+    if A.ndim != 2:
+        raise InvalidInputError(f"expected a square matrix, got shape {A.shape}")
     return A
 
 
@@ -49,16 +61,44 @@ def maxabs(A: np.ndarray) -> float:
     return float(np.abs(A).max())
 
 
+def stack_maxabs(A: np.ndarray) -> np.ndarray:
+    """maxabs of each matrix of a (..., n, n) stack."""
+    return np.abs(A).max(axis=(-2, -1))
+
+
+def read_only(X: np.ndarray) -> np.ndarray:
+    """X, flagged read-only: for arrays that are cached and shared."""
+    X.setflags(write=False)
+    return X
+
+
+def diag_matrix(d: np.ndarray) -> np.ndarray:
+    """np.diag of a vector, or of each vector of a stack."""
+    n = d.shape[-1]
+    D = np.zeros(d.shape + (n,), dtype=d.dtype)
+    D[..., range(n), range(n)] = d
+    return D
+
+
+def hermitian(A: np.ndarray) -> np.ndarray:
+    """(A + A*)/2 of a matrix or of each matrix of a stack, unchecked.
+
+    Each term is halved before the sum, so it cannot overflow; halving a
+    normal double is exact, so the result is (A + A*)/2 to the bit wherever
+    that does not overflow.
+    """
+    return A / 2.0 + A.conj().swapaxes(-1, -2) / 2.0
+
+
 def hermitian_part(A) -> np.ndarray:
-    """(A + A*)/2, Hermitian by construction; halving each term first cannot overflow."""
-    A = as_matrix(A)
-    return A / 2.0 + A.conj().T / 2.0
+    """(A + A*)/2 of a matrix or of each matrix of a stack (see hermitian)."""
+    return hermitian(as_stack(A))
 
 
 def imaginary_part(A) -> np.ndarray:
-    """(A - A*)/(2i), the Hermitian matrix with A = Re A + i Im A."""
-    A = as_matrix(A)
-    return (A - A.conj().T) / 2.0j
+    """(A - A*)/(2i), the Hermitian matrix with A = Re A + i Im A; per matrix for a stack."""
+    A = as_stack(A)
+    return (A - A.conj().swapaxes(-1, -2)) / 2.0j
 
 
 def lu_solve(A, B) -> np.ndarray:
@@ -102,13 +142,13 @@ def solve_stack(stack: np.ndarray) -> np.ndarray:
 
 
 def singular_values(A) -> np.ndarray:
-    """Ascending singular values by LAPACK's SVD.
+    """Ascending singular values by LAPACK's SVD, along the last axis for a stack.
 
     Working on A itself, not on A*A, keeps small singular values accurate
     to about eps * ||A||, instead of sqrt(eps) * ||A|| through the squared
     condition number.
     """
-    return np.linalg.svd(as_matrix(A), compute_uv=False)[::-1]
+    return np.linalg.svd(as_stack(A), compute_uv=False)[..., ::-1]
 
 
 @dataclass(frozen=True)
@@ -144,76 +184,82 @@ def kyfan(k: int) -> NormKind:
     return NormKind("kyfan", int(k))
 
 
-def uinorm(A, kind: NormKind = OPERATOR) -> float:
-    """Unitarily invariant norm of A for the requested kind."""
+def uinorm(A, kind: NormKind = OPERATOR):
+    """Unitarily invariant norm of A, or of each matrix of a stack, for the requested kind."""
     sv = singular_values(A)
-    n = sv.shape[0]
+    n = sv.shape[-1]
     if kind.tag == "operator":
-        return float(sv[-1])
+        return sv[..., -1][()]
     if kind.tag == "frobenius":
-        return float(np.sqrt(np.sum(sv * sv)))
+        return np.sqrt(np.sum(sv * sv, axis=-1))
     if kind.tag == "trace":
-        return float(np.sum(sv))
+        return np.sum(sv, axis=-1)
     if kind.tag == "kyfan":
         if not 1 <= kind.k <= n:
             raise ParameterError(f"kyfan k={kind.k} outside [1, {n}]")
-        return float(np.sum(sv[n - kind.k:]))
+        return np.sum(sv[..., n - kind.k:], axis=-1)
     raise ParameterError(f"unknown norm kind: {kind.tag!r}")
 
 
-def opnorm(A) -> float:
+def opnorm(A):
     return uinorm(A, OPERATOR)
 
 
 @dataclass(frozen=True)
 class LoewnerVerdict:
-    """Outcome of a Loewner-order test X <= Y.
+    """Outcome of a Loewner-order test X <= Y, or of one per pair of two stacks.
 
     margin is the smallest eigenvalue of the Hermitian gap, normalized by
-    1 + ||X||_op + ||Y||_op; holds iff margin >= -TAU_LOEWNER.
+    1 + ||X||_op + ||Y||_op; holds iff margin >= -TAU_LOEWNER.  For stacks
+    both are arrays over the leading axes.
     """
 
-    margin: float
-    holds: bool
+    margin: float | np.ndarray
+    holds: bool | np.ndarray
 
 
 def loewner_leq(X, Y) -> LoewnerVerdict:
-    """Test X <= Y in the Loewner order for (near-)Hermitian X, Y."""
-    X = as_matrix(X)
-    Y = as_matrix(Y)
+    """Test X <= Y in the Loewner order for (near-)Hermitian X, Y, or stacks of them.
+
+    The Hermitian parts, the gap and the scale 1 + ||X|| + ||Y|| are each
+    taken from halved terms, so entries up to the largest double do not
+    overflow; halving a normal double is exact, so wherever the unhalved
+    form stays finite the margin is the same to the bit.
+    """
+    X = as_stack(X)
+    Y = as_stack(Y)
     if X.shape != Y.shape:
         raise InvalidInputError("Loewner comparison needs equal shapes")
     for Z in (X, Y):
-        if maxabs(Z - Z.conj().T) > 1e-10 * (1.0 + maxabs(Z)):
+        skew = stack_maxabs(Z - Z.conj().swapaxes(-1, -2))
+        if np.any(skew > 1e-10 * (1.0 + stack_maxabs(Z))):
             raise InvalidInputError("Loewner comparison needs Hermitian operands")
-    Hx = (X + X.conj().T) / 2.0
-    Hy = (Y + Y.conj().T) / 2.0
-    ex, ey, gap = np.linalg.eigvalsh(np.stack([Hx, Hy, Hy - Hx]))
-    gap_min = float(gap[0])
-    scale = 1.0 + max(abs(ex[0]), abs(ex[-1])) + max(abs(ey[0]), abs(ey[-1]))
-    margin = gap_min / scale
+    Hx, Hy = hermitian(X), hermitian(Y)
+    ex, ey, half_gap = np.linalg.eigvalsh(np.stack([Hx, Hy, Hy / 2.0 - Hx / 2.0]))
+    nx = np.maximum(abs(ex[..., 0]), abs(ex[..., -1]))
+    ny = np.maximum(abs(ey[..., 0]), abs(ey[..., -1]))
+    margin = half_gap[..., 0] / (0.5 + nx / 2.0 + ny / 2.0)
     return LoewnerVerdict(margin=margin, holds=margin >= -TAU_LOEWNER)
 
 
-def is_accretive(A) -> tuple[bool, float]:
+def is_accretive(A):
     """Whether Re A is positive definite, with a normalized margin.
 
     margin = lambda_min(Re A) / (1 + ||A||_op); accretive iff the margin
-    exceeds the Loewner slack (strict positivity).  The package's one
-    accretivity predicate.
+    exceeds the Loewner slack (strict positivity).  For a stack both are
+    arrays of its leading shape.  The package's one accretivity predicate.
     """
-    A = as_matrix(A)
-    lam_min = float(np.linalg.eigvalsh(hermitian_part(A))[0])
-    margin = lam_min / (1.0 + opnorm(A))
+    A = as_stack(A)
+    margin = np.linalg.eigvalsh(hermitian(A))[..., 0] / (1.0 + opnorm(A))
     return margin > TAU_LOEWNER, margin
 
 
 def require_accretive(A, name: str = "matrix") -> np.ndarray:
-    """A as a complex matrix; PreconditionError naming ``name`` unless accretive."""
-    A = as_matrix(A)
+    """A as a complex matrix or stack; PreconditionError naming ``name`` unless all accretive."""
+    A = as_stack(A)
     ok, margin = is_accretive(A)
-    if not ok:
-        raise PreconditionError(f"{name} is not accretive (margin {margin:.3e})")
+    if not ok.all():
+        raise PreconditionError(f"{name} is not accretive (margin {np.min(margin):.3e})")
     return A
 
 
@@ -228,7 +274,7 @@ def principal_sqrt(A) -> np.ndarray:
     satisfies max|X^2 - A| <= 1e-9 * (1 + max|A|), tested times s^2 so that
     it cannot overflow, and has spectrum in the open right half-plane.
     """
-    A = require_accretive(A, "principal_sqrt operand")
+    A = require_accretive(as_matrix(A), "principal_sqrt operand")
     k = math.floor(math.log2(maxabs(A)) / 2.0 + 0.5)
     s2 = 2.0 ** (-2 * k)
     X = As = A * s2

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import as_matrix, maxabs
+from .linalg import as_stack, maxabs
 
 VARIANTS = (
     "compression",
@@ -41,12 +41,15 @@ class PositiveLinearMap:
 
 
 def apply_map(phi: PositiveLinearMap, A) -> np.ndarray:
-    """Evaluate Phi(A) = sum_k V_k* A V_k; Re Phi(A) = Phi(Re A) holds by construction."""
-    A = as_matrix(A)
-    if A.shape[0] != phi.dim_in:
-        raise ParameterError(f"map expects dimension {phi.dim_in}, got {A.shape[0]}")
+    """Evaluate Phi(A) = sum_k V_k* A V_k, for a matrix or each matrix of a stack.
+
+    Re Phi(A) = Phi(Re A) holds by construction.
+    """
+    A = as_stack(A)
+    if A.shape[-1] != phi.dim_in:
+        raise ParameterError(f"map expects dimension {phi.dim_in}, got {A.shape[-1]}")
     V = np.asarray(phi.operators)
-    return (V.conj().swapaxes(1, 2) @ A @ V).sum(axis=0)
+    return (V.conj().swapaxes(1, 2) @ A[..., None, :, :] @ V).sum(axis=-3)
 
 
 def is_unital(phi: PositiveLinearMap) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import hermitian_part, imaginary_part, is_accretive, require_accretive  # noqa: F401
+from .linalg import diag_matrix, is_accretive, require_accretive  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -53,20 +53,23 @@ class EnsembleSpec:
 
 
 def certify(A) -> SectorCertificate:
-    """Full (alpha, m, M) certificate for an accretive matrix.
+    """Full (alpha, m, M) certificate for an accretive matrix, or for each matrix of a stack.
 
     One eigendecomposition of Re A gives both: its extreme values are m and
     M, and its vectors form (Re A)^{-1/2}.  alpha is arctan of the largest
     |eigenvalue| of (Re A)^{-1/2} (Im A) (Re A)^{-1/2}, which is exactly the
-    smallest alpha with tan(alpha) Re A +- Im A >= 0.
+    smallest alpha with tan(alpha) Re A +- Im A >= 0.  For a stack the
+    fields are arrays of its leading shape, each entry the matrix's own.
     """
     A = require_accretive(A)
-    vals, vecs = np.linalg.eigh(hermitian_part(A))
-    W = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
-    H = W @ imaginary_part(A) @ W
-    H = (H + H.conj().T) / 2.0
-    rho = float(np.max(np.abs(np.linalg.eigvalsh(H))))
-    return SectorCertificate(alpha=math.atan(rho), m=float(vals[0]), M=float(vals[-1]))
+    Ah = A.conj().swapaxes(-1, -2)
+    vals, vecs = np.linalg.eigh(A / 2.0 + Ah / 2.0)
+    W = vecs @ diag_matrix(vals**-0.5) @ vecs.conj().swapaxes(-1, -2)
+    H = W @ ((A - Ah) / 2.0j) @ W
+    H = (H + H.conj().swapaxes(-1, -2)) / 2.0
+    rho = np.abs(np.linalg.eigvalsh(H)).max(axis=-1)
+    alpha = np.array([math.atan(r) for r in np.ravel(rho).tolist()]).reshape(rho.shape)
+    return SectorCertificate(alpha=alpha[()], m=vals[..., 0][()], M=vals[..., -1][()])
 
 
 def sectorial_angle(A) -> float:
@@ -74,13 +77,21 @@ def sectorial_angle(A) -> float:
     return certify(A).alpha
 
 
+def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
+    """An n x n complex Ginibre draw: standard normal real, then imaginary, parts."""
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def haar_from(G: np.ndarray) -> np.ndarray:
+    """The phase-fixed Q of G = QR, per matrix for a stack; Haar-distributed for Ginibre G."""
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d)).conj()[..., None, :]
+
+
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a complex Ginibre draw."""
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(G)
-    d = np.diagonal(R).copy()
-    d = d / np.abs(d)
-    return Q * d.conj()
+    return haar_from(ginibre(n, rng))
 
 
 def random_sectorial(spec: EnsembleSpec, index: int) -> np.ndarray:
@@ -106,7 +117,7 @@ def random_sectorial(spec: EnsembleSpec, index: int) -> np.ndarray:
     P = (P + P.conj().T) / 2.0
     if spec.alpha_max == 0.0:
         return P.astype(np.complex128)
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    G = ginibre(n, rng)
     T = (G + G.conj().T) / 2.0
     u = rng.uniform(0.0, 1.0)
     tnorm = float(np.max(np.abs(np.linalg.eigvalsh(T))))

@@ -2,11 +2,14 @@
 
 Every check draws operand ensembles deterministically from (seed, index),
 certifies the sector data per sample, evaluates both sides of its statement
-and reports the worst normalized margin.  Loewner comparisons go through
-``linalg.loewner_leq`` on Hermitian parts; scalar and norm comparisons use
-(rhs - lhs) / (1 + |rhs| + |lhs|); identities report the negated relative
-deviation.  A check passes when the minimum margin survives -TAU_LOEWNER
-(order checks) or -TAU_EQ (identity checks).
+and reports the worst normalized margin.  A check is evaluated over the
+whole ensemble at once: its operands are (S, n, n) stacks, one matrix per
+sample, and every kernel works sample by sample along the leading axis, so
+each sample's margin is the one it would get alone, to the bit.  Loewner
+comparisons go through ``linalg.loewner_leq`` on Hermitian parts; scalar and
+norm comparisons use (rhs - lhs) / (1 + |rhs| + |lhs|); identities report
+the negated relative deviation.  A check passes when the minimum margin
+survives -TAU_LOEWNER (order checks) or -TAU_EQ (identity checks).
 """
 
 from __future__ import annotations
@@ -21,22 +24,23 @@ from typing import Callable
 import numpy as np
 
 from . import funcalc, linalg, sector
-from .errors import ParameterError
+from .errors import NumericFailureError, ParameterError
 from .funcalc import MeasureSpec, MonotoneFunction, catalog, scalar_eval, standard_catalog
 from .linalg import (
     NormKind,
     TAU_EQ,
     TAU_LOEWNER,
-    hermitian_part,
+    diag_matrix,
     kyfan,
     loewner_leq,
-    maxabs,
     opnorm,
+    read_only,
     solve_stack,
+    stack_maxabs,
     uinorm,
 )
 from .maps import PositiveLinearMap, apply_map, is_unital, random_map
-from .means import arithmetic_mean, scalar_sigma
+from .means import scalar_sigma
 from .sector import EnsembleSpec, random_sectorial
 
 
@@ -47,22 +51,45 @@ def kantorovich_constant(m: float, M: float) -> float:
     return (M + m) ** 2 / (4.0 * M * m)
 
 
-def _lm(X, Y) -> float:
+# Margins and operands of a stack: every function below works sample by
+# sample along the leading axis and returns one margin per sample.
+
+def _lm(X, Y) -> np.ndarray:
     """Loewner margin of X <= Y."""
     return loewner_leq(X, Y).margin
 
 
-def _sm(lhs: float, rhs: float) -> float:
+def _sm(lhs, rhs):
     """Scalar margin of lhs <= rhs, normalized scale-free."""
     return (rhs - lhs) / (1.0 + abs(rhs) + abs(lhs))
 
 
-def _dev(X, Y) -> float:
+def _dev(X, Y) -> np.ndarray:
     """Identity margin: negated relative deviation between X and Y."""
-    return -maxabs(X - Y) / (1.0 + maxabs(X) + maxabs(Y))
+    return -stack_maxabs(X - Y) / (1.0 + stack_maxabs(X) + stack_maxabs(Y))
 
 
-_H = hermitian_part
+_H = linalg.hermitian
+
+
+def _scaled(k, X) -> np.ndarray:
+    """k X for a scalar k or one k per sample."""
+    return np.asarray(k)[..., None, None] * X
+
+
+def _nabla(X, Y, t) -> np.ndarray:
+    """The arithmetic mean X nabla_t Y = (1-t) X + t Y, one t or one per sample."""
+    return _scaled(1.0 - np.asarray(t), X) + _scaled(t, Y)
+
+
+def _each(fn, *columns) -> np.ndarray:
+    """fn of Python scalars, sample by sample, as an array over the stack.
+
+    Scalar formulas (powers, logs, complex division) run here as they run on
+    one sample, so their bits do not depend on numpy's vector kernels.
+    """
+    return np.array([fn(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))])
+
 
 _T_GRID = np.arange(1, 10) / 10.0
 
@@ -72,130 +99,174 @@ def _power(t: float) -> MonotoneFunction:
     return catalog("power", t)
 
 
-def _frozen(X: np.ndarray) -> np.ndarray:
-    X.setflags(write=False)
-    return X
+class _Ensemble:
+    """Samples ``indices`` (all of the spec's by default) of a spec: their
+    operand pairs as read-only (S, n, n) stacks A, B, Re A, Re B and I (the
+    roles), each pair's certified (alpha, m, M), and a memo of the shared
+    kernel's values on pairs of roles.  Sample i is the same pair in any
+    subset: its draws depend on (spec.seed, i) only."""
 
-
-class _Pair:
-    """Sample ``index``'s operands A, B, their real parts and the identity
-    (the pair's roles, read-only), the certified (alpha, m, M) of the pair,
-    and a memo of the shared kernel's values on pairs of roles."""
-
-    def __init__(self, spec: EnsembleSpec, index: int):
+    def __init__(self, spec: EnsembleSpec, indices=None):
+        self.seed = spec.seed
+        self.indices = list(range(spec.count)) if indices is None else list(indices)
         wide = replace(spec, count=2 * spec.count)
-        A = random_sectorial(wide, 2 * index)
-        B = random_sectorial(wide, 2 * index + 1)
+        A = np.array([random_sectorial(wide, 2 * i) for i in self.indices])
+        B = np.array([random_sectorial(wide, 2 * i + 1) for i in self.indices])
         cA, cB = sector.certify(A), sector.certify(B)
-        eye = np.eye(spec.dim, dtype=np.complex128)
-        self.roles = tuple(_frozen(X) for X in (A, B, _H(A), _H(B), eye))
+        eye = np.broadcast_to(np.eye(spec.dim, dtype=np.complex128), A.shape)
+        self.roles = tuple(read_only(X) for X in (A, B, _H(A), _H(B), eye))
         self.role_of = {id(X): k for k, X in enumerate(self.roles)}  # identity, not bytes
-        self.alpha = max(cA.alpha, cB.alpha)
-        self.m, self.M = min(cA.m, cB.m), max(cA.M, cB.M)
+        self.alpha = np.maximum(cA.alpha, cB.alpha).tolist()
+        self.m = np.minimum(cA.m, cB.m).tolist()
+        self.M = np.maximum(cA.M, cB.M).tolist()
         self.memo: dict = {}
 
 
 @lru_cache(maxsize=2)
-def _spec_pairs(spec: EnsembleSpec) -> dict:
-    """Index -> _Pair for one spec.  Only the last two specs stay cached,
-    memos included, so memory is bounded by two ensembles whatever the caller;
+def _ensemble(spec: EnsembleSpec) -> _Ensemble:
+    """All samples of one spec.  Only the last two specs stay cached, memos
+    included, so memory is bounded by two ensembles whatever the caller;
     run_suite walks each spec's checks together, so it draws every pair once."""
-    return {}
+    return _Ensemble(spec)
 
 
-def _operand_pair(spec: EnsembleSpec, index: int) -> _Pair:
-    pairs = _spec_pairs(spec)
-    p = pairs.get(index)
-    if p is None:
-        p = pairs[index] = _Pair(spec, index)
-    return p
+class _Stack:
+    """One check's evaluation context over an ensemble: its role stacks, the
+    per-sample sector factors, and each sample's random stream, seeded
+    (spec seed, crc32(check id), sample index)."""
 
-
-class _Sample:
-    """Per-sample evaluation context handed to check evaluators."""
-
-    def __init__(self, spec, index, check_id, f, g, phi, norm):
-        self._pair = p = _operand_pair(spec, index)
-        self.A, self.B, self.ReA, self.ReB, self._eye = p.roles
-        self.m, self.M = p.m, p.M
-        self.cosa = math.cos(p.alpha)
-        self.seca = 1.0 / self.cosa
-        self.cos2 = self.cosa * self.cosa
-        self.sec2 = self.seca * self.seca
+    def __init__(self, ens: _Ensemble, check_id, f, g, phi, norm):
+        self._ens = e = ens
+        self.A, self.B, self.ReA, self.ReB, self.eye = e.roles
+        self.m, self.M = np.array(e.m), np.array(e.M)
+        cosa = [math.cos(a) for a in e.alpha]
+        seca = [1.0 / c for c in cosa]
+        self.cosa, self.seca = np.array(cosa), np.array(seca)
+        self.cos2, self.sec2 = self.cosa * self.cosa, self.seca * self.seca
+        self.cos3, self.sec3 = np.array([c**3 for c in cosa]), np.array([s**3 for s in seca])
         self.f, self.g, self.phi, self.norm = f, g, phi, norm
-        self._rng = None
-        self._seed = (spec.seed, zlib.crc32(check_id.encode()), index)
+        crc = zlib.crc32(check_id.encode())
+        self._seeds = [(e.seed, crc, i) for i in e.indices]
+        self._rngs = None
 
     @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = np.random.default_rng(self._seed)
-        return self._rng
+    def rngs(self) -> list:
+        if self._rngs is None:
+            self._rngs = [np.random.default_rng(seed) for seed in self._seeds]
+        return self._rngs
 
     # Means and f(A) straight on the shared kernel: every operand here is
     # accretive by construction, so the public functions' checks are skipped.
-    # A value on two of the pair's roles is computed once per pair and kept,
-    # read-only, in its memo; any other operand goes to the kernel every time.
-    def _kernel(self, X, Y, measure: MeasureSpec) -> np.ndarray:
-        role_of = self._pair.role_of
-        i, j = role_of.get(id(X)), role_of.get(id(Y))
+    # A value on two of the ensemble's roles is computed once per sample and
+    # kept, read-only, in its memo; any other operand goes to the kernel every
+    # time.  A measure is one for all samples or one per sample (a weight t
+    # drawn per sample); the samples the memo lacks go to the kernel in one
+    # stack either way.
+    def _kernel(self, X, Y, measure) -> np.ndarray:
+        e = self._ens
+        i, j = e.role_of.get(id(X)), e.role_of.get(id(Y))
         if i is None or j is None:
             return funcalc._sigma(X, Y, measure)[0]
-        memo = self._pair.memo
-        key = (i, j, measure)
-        V = memo.get(key)
-        if V is None:
-            V = memo[key] = _frozen(funcalc._sigma(X, Y, measure)[0])
-        return V
+        single = isinstance(measure, MeasureSpec)
+        by_measure = [(measure, np.arange(len(X)))] if single else funcalc._groups(measure)
+        entries = [self._memo_entry(i, j, m, X.shape) for m, _ in by_measure]
+        lacking = [rows[~have[rows]] for (_, have, _), (_, rows) in zip(entries, by_measure)]
+        need = np.concatenate(lacking)
+        if need.size:
+            V = funcalc._sigma(X[need], Y[need],
+                               measure if single else [measure[k] for k in need.tolist()])[0]
+            for (values, have, _), rows in zip(entries, lacking):
+                values[rows], have[rows] = V[:len(rows)], True
+                V = V[len(rows):]
+        if single:
+            return entries[0][2]
+        out = np.empty(X.shape, dtype=np.complex128)
+        for (values, _, _), (_, rows) in zip(entries, by_measure):
+            out[rows] = values[rows]
+        return out
+
+    def _memo_entry(self, i, j, measure, shape) -> tuple:
+        """(values, which samples have one, read-only view) for roles i, j and the measure."""
+        memo = self._ens.memo
+        entry = memo.get((i, j, measure))
+        if entry is None:
+            values = np.empty(shape, dtype=np.complex128)
+            entry = memo[i, j, measure] = (values, np.zeros(shape[0], dtype=bool),
+                                           read_only(values.view()))
+        return entry
 
     def sigma(self, X, Y, fn=None):
         return self._kernel(X, Y, (fn or self.f).measure)
 
     def apply(self, fn, X):
-        eye = self._eye if X.shape == self._eye.shape else np.eye(X.shape[0], dtype=np.complex128)
+        eye = self.eye if X.shape == self.eye.shape else np.broadcast_to(
+            np.eye(X.shape[-1], dtype=np.complex128), X.shape)
         return self._kernel(eye, X, fn.measure)
 
     def harm(self, X, Y, t):
-        return self._kernel(X, Y, MeasureSpec(atoms=((t, 1.0),)))
+        """X !_t Y, for one t or one t per sample."""
+        return self._kernel(X, Y, _per_sample(t, lambda v: MeasureSpec(atoms=((v, 1.0),))))
 
-    def draw_t(self) -> float:
-        return float(_T_GRID[self.rng.integers(0, len(_T_GRID))])
+    def sharp(self, X, Y, t):
+        """X #_t Y, the weighted geometric mean, for one t or one t per sample."""
+        return self._kernel(X, Y, _per_sample(t, lambda v: _power(v).measure))
+
+    # Per-sample randomness: each call draws once from every sample's stream,
+    # in sample order, so a sample sees the draws it would see alone.
+    def draw_t(self) -> np.ndarray:
+        return np.array([float(_T_GRID[rng.integers(0, len(_T_GRID))]) for rng in self.rngs])
 
     def unit_vector(self) -> np.ndarray:
-        n = self.A.shape[0]
-        x = self.rng.standard_normal(n) + 1j * self.rng.standard_normal(n)
-        return x / np.linalg.norm(x)
+        n = self.A.shape[-1]
+        xs = []
+        for rng in self.rngs:
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            xs.append(x / np.linalg.norm(x))
+        return np.array(xs)
 
     def psd_bump(self) -> np.ndarray:
         # Hermitian PSD perturbation; keeps the perturbed operand in the
         # same sector since only the real part grows.
-        n = self.A.shape[0]
-        U = sector.haar_unitary(n, self.rng)
-        d = self.rng.uniform(0.0, self.M, size=n)
-        Q = U @ np.diag(d) @ U.conj().T
-        return (Q + Q.conj().T) / 2.0
+        n = self.A.shape[-1]
+        G, d = [], []
+        for rng, M in zip(self.rngs, self._ens.M):
+            G.append(sector.ginibre(n, rng))
+            d.append(rng.uniform(0.0, M, size=n))
+        U = sector.haar_from(np.array(G))
+        Q = U @ diag_matrix(np.array(d)) @ U.conj().swapaxes(-1, -2)
+        return (Q + Q.conj().swapaxes(-1, -2)) / 2.0
 
     def conditioned_invertible(self) -> np.ndarray:
         # Invertible with singular values in [1/2, 2] so identity checks are
         # not polluted by conditioning noise.
-        n = self.A.shape[0]
-        U = sector.haar_unitary(n, self.rng)
-        V = sector.haar_unitary(n, self.rng)
-        d = self.rng.uniform(0.5, 2.0, size=n)
-        return U @ np.diag(d) @ V.conj().T
+        n = self.A.shape[-1]
+        G, H, d = [], [], []
+        for rng in self.rngs:
+            G.append(sector.ginibre(n, rng))
+            H.append(sector.ginibre(n, rng))
+            d.append(rng.uniform(0.5, 2.0, size=n))
+        U, V = sector.haar_from(np.array(G)), sector.haar_from(np.array(H))
+        return U @ diag_matrix(np.array(d)) @ V.conj().swapaxes(-1, -2)
 
-    def inner(self, X, x) -> complex:
-        return complex(x.conj() @ X @ x)
+    def inner(self, X, x) -> np.ndarray:
+        """x* X x for each sample."""
+        return (x.conj()[:, None, :] @ X @ x[:, :, None])[:, 0, 0]
 
-    def gumus_factor(self, t: float) -> float:
-        lam = min(t, 1.0 - t)
-        return ((1.0 - lam) * self.m + lam * self.M) / (
-            self.m ** (1.0 - lam) * self.M ** lam
-        )
+    def gumus_factor(self, t) -> np.ndarray:
+        def factor(t, m, M):
+            lam = min(t, 1.0 - t)
+            return ((1.0 - lam) * m + lam * M) / (m ** (1.0 - lam) * M ** lam)
+
+        return _each(factor, t, self.m, self.M)
+
+
+def _per_sample(t, make):
+    """make(t) for one t, or the list of make(t_i) for one t per sample."""
+    return make(float(t)) if np.ndim(t) == 0 else [make(v) for v in np.asarray(t).tolist()]
 
 
 # ---------------------------------------------------------------------------
-# check evaluators: each returns the sample margin
+# check evaluators: each returns the margin of every sample of the stack
 # ---------------------------------------------------------------------------
 
 def _ev_real_superadditive(c):
@@ -203,27 +274,28 @@ def _ev_real_superadditive(c):
 
 
 def _ev_real_sector_reverse(c):
-    return _lm(_H(c.sigma(c.A, c.B)), c.sec2 * c.sigma(c.ReA, c.ReB))
+    return _lm(_H(c.sigma(c.A, c.B)), _scaled(c.sec2, c.sigma(c.ReA, c.ReB)))
 
 
 def _ev_amgmhm(c):
     t = c.f.derivative_at_one
     S = _H(c.sigma(c.A, c.B))
-    lo = _lm(c.cos2 * _H(c.harm(c.A, c.B, t)), S)
-    hi = _lm(S, c.sec2 * _H(arithmetic_mean(c.A, c.B, t)))
-    return min(lo, hi)
+    lo = _lm(_scaled(c.cos2, _H(c.harm(c.A, c.B, t))), S)
+    hi = _lm(S, _scaled(c.sec2, _H(_nabla(c.A, c.B, t))))
+    return np.minimum(lo, hi)
 
 
 def _ev_mean_monotone(c):
     C = c.A + c.psd_bump()
     D = c.B + c.psd_bump()
-    return _lm(_H(c.sigma(c.A, c.B)), c.sec2 * _H(c.sigma(C, D)))
+    return _lm(_H(c.sigma(c.A, c.B)), _scaled(c.sec2, _H(c.sigma(C, D))))
 
 
 def _ev_transformer(c):
     C = c.conditioned_invertible()
-    X = C.conj().T @ c.sigma(c.A, c.B) @ C
-    Y = c.sigma(C.conj().T @ c.A @ C, C.conj().T @ c.B @ C)
+    Ch = C.conj().swapaxes(-1, -2)
+    X = Ch @ c.sigma(c.A, c.B) @ C
+    Y = c.sigma(Ch @ c.A @ C, Ch @ c.B @ C)
     return _dev(X, Y)
 
 
@@ -234,8 +306,8 @@ def _ev_kantorovich(c):
     # ((a, b) = (2, 1), f = z^0.3, g = z^0.5 gives 2^0.2 > K(1, 2)).
     Pf = apply_map(c.phi, _H(c.sigma(c.A, c.B, c.f)))
     Pg = apply_map(c.phi, _H(c.sigma(c.A, c.B, c.g)))
-    lhs = opnorm(Pf @ solve_stack(Pg[None])[0])
-    rhs = c.sec2**3 * kantorovich_constant(c.m, c.M)
+    lhs = opnorm(Pf @ solve_stack(Pg))
+    rhs = _each(lambda s, m, M: s**3 * kantorovich_constant(m, M), c.sec2, c.m, c.M)
     return _sm(lhs, rhs)
 
 
@@ -249,21 +321,22 @@ def _ev_har_ando(c):
 def _ev_ando_sector(c):
     L = _H(apply_map(c.phi, c.sigma(c.A, c.B)))
     R = _H(c.sigma(apply_map(c.phi, c.A), apply_map(c.phi, c.B)))
-    return _lm(L, c.sec2 * R)
+    return _lm(L, _scaled(c.sec2, R))
 
 
 def _ev_sigma_inner(c):
     x = c.unit_vector()
     lhs = c.inner(c.sigma(c.A, c.B), x).real
-    rhs = c.sec2 * scalar_sigma(c.inner(c.A, x), c.inner(c.B, x), c.f).real
+    rhs = c.sec2 * _each(lambda a, b: scalar_sigma(a, b, c.f).real,
+                         c.inner(c.A, x), c.inner(c.B, x))
     return _sm(lhs, rhs)
 
 
 def _ev_sigma_nabla_phi(c):
     t = c.f.derivative_at_one
     L = _H(apply_map(c.phi, c.sigma(c.A, c.B)))
-    R = _H(apply_map(c.phi, arithmetic_mean(c.A, c.B, t)))
-    return _lm(L, c.sec2 * R)
+    R = _H(apply_map(c.phi, _nabla(c.A, c.B, t)))
+    return _lm(L, _scaled(c.sec2, R))
 
 
 def _ev_f_real_super(c):
@@ -271,45 +344,45 @@ def _ev_f_real_super(c):
 
 
 def _ev_f_real_reverse(c):
-    return _lm(_H(c.apply(c.f, c.A)), c.sec2 * _H(c.apply(c.f, c.ReA)))
+    return _lm(_H(c.apply(c.f, c.A)), _scaled(c.sec2, _H(c.apply(c.f, c.ReA))))
 
 
 def _ev_choi_sector(c):
     L = _H(apply_map(c.phi, c.apply(c.f, c.A)))
     R = _H(c.apply(c.f, apply_map(c.phi, c.A)))
-    return _lm(c.cos2 * L, R)
+    return _lm(_scaled(c.cos2, L), R)
 
 
 def _ev_f_inner(c):
     x = c.unit_vector()
     lhs = c.inner(c.apply(c.f, c.A), x).real
-    rhs = c.sec2 * scalar_eval(c.f, c.inner(c.A, x)).real
+    rhs = c.sec2 * _each(lambda z: scalar_eval(c.f, z).real, c.inner(c.A, x))
     return _sm(lhs, rhs)
 
 
 def _ev_f_nabla(c):
     t = c.draw_t()
-    L = arithmetic_mean(c.apply(c.f, c.A), c.apply(c.f, c.B), t)
-    R = c.apply(c.f, arithmetic_mean(c.A, c.B, t))
-    return _lm(_H(L), c.sec2 * _H(R))
+    L = _nabla(c.apply(c.f, c.A), c.apply(c.f, c.B), t)
+    R = c.apply(c.f, _nabla(c.A, c.B, t))
+    return _lm(_H(L), _scaled(c.sec2, _H(R)))
 
 
 def _ev_f_sharp_nabla(c):
     FA = c.apply(c.f, c.A)
     FB = c.apply(c.f, c.B)
-    L = _H(c.sigma(FA, FB, _power(0.5)))
-    R = _H(c.apply(c.f, arithmetic_mean(c.A, c.B, 0.5)))
-    return _lm(L, c.sec2 * c.sec2 * R)
+    L = _H(c.sharp(FA, FB, 0.5))
+    R = _H(c.apply(c.f, _nabla(c.A, c.B, 0.5)))
+    return _lm(L, _scaled(c.sec2 * c.sec2, R))
 
 
 def _ev_sharp_real_super(c):
-    pt = _power(c.draw_t())
-    return _lm(c.sigma(c.ReA, c.ReB, pt), _H(c.sigma(c.A, c.B, pt)))
+    t = c.draw_t()
+    return _lm(c.sharp(c.ReA, c.ReB, t), _H(c.sharp(c.A, c.B, t)))
 
 
 def _ev_sharp_sector_reverse(c):
-    pt = _power(c.draw_t())
-    return _lm(_H(c.sigma(c.A, c.B, pt)), c.sec2 * c.sigma(c.ReA, c.ReB, pt))
+    t = c.draw_t()
+    return _lm(_H(c.sharp(c.A, c.B, t)), _scaled(c.sec2, c.sharp(c.ReA, c.ReB, t)))
 
 
 def _ev_har_real_super(c):
@@ -319,47 +392,47 @@ def _ev_har_real_super(c):
 
 def _ev_har_sector_reverse(c):
     t = c.draw_t()
-    return _lm(_H(c.harm(c.A, c.B, t)), c.sec2 * c.harm(c.ReA, c.ReB, t))
+    return _lm(_H(c.harm(c.A, c.B, t)), _scaled(c.sec2, c.harm(c.ReA, c.ReB, t)))
 
 
 def _ev_inv_real(c):
-    Ainv, ReAinv = solve_stack(np.stack([c.A, c.ReA]))
+    Ainv, ReAinv = np.split(solve_stack(np.concatenate([c.A, c.ReA])), 2)
     return _lm(_H(Ainv), ReAinv)
 
 
 def _ev_inv_sector(c):
-    Ainv, ReAinv = solve_stack(np.stack([c.A, c.ReA]))
-    return _lm(ReAinv, c.sec2 * _H(Ainv))
+    Ainv, ReAinv = np.split(solve_stack(np.concatenate([c.A, c.ReA])), 2)
+    return _lm(ReAinv, _scaled(c.sec2, _H(Ainv)))
 
 
 def _ev_gumus_a(c):
     t = c.draw_t()
     K = c.gumus_factor(t)
-    return _lm(_H(arithmetic_mean(c.A, c.B, t)), K * _H(c.sigma(c.A, c.B, _power(t))))
+    return _lm(_H(_nabla(c.A, c.B, t)), _scaled(K, _H(c.sharp(c.A, c.B, t))))
 
 
 def _ev_gumus_b(c):
     t = c.draw_t()
     K = c.gumus_factor(t)
-    return _lm(_H(c.sigma(c.A, c.B, _power(t))), c.sec2 * K * _H(c.harm(c.A, c.B, t)))
+    return _lm(_H(c.sharp(c.A, c.B, t)), _scaled(c.sec2 * K, _H(c.harm(c.A, c.B, t))))
 
 
 def _ev_gumus_c(c):
     t = c.draw_t()
     K = c.gumus_factor(t)
-    shift = c.M * (K - 1.0) * np.eye(c.A.shape[0], dtype=np.complex128)
-    S = _H(c.sigma(c.A, c.B, _power(t)))
-    lo = _lm(_H(arithmetic_mean(c.A, c.B, t)) - shift, S)
-    hi = _lm(S, c.sec2 * (shift + _H(c.harm(c.A, c.B, t))))
-    return min(lo, hi)
+    shift = _scaled(c.M * (K - 1.0), c.eye)
+    S = _H(c.sharp(c.A, c.B, t))
+    lo = _lm(_H(_nabla(c.A, c.B, t)) - shift, S)
+    hi = _lm(S, _scaled(c.sec2, shift + _H(c.harm(c.A, c.B, t))))
+    return np.minimum(lo, hi)
 
 
 def _ev_mixed_gm(c):
-    G = _H(c.sigma(arithmetic_mean(c.A, c.B, 0.5), c.harm(c.A, c.B, 0.5), _power(0.5)))
-    S = _H(c.sigma(c.A, c.B, _power(0.5)))
-    lo = _lm(c.cosa**3 * G, S)
-    hi = _lm(S, c.sec2 * G)
-    return min(lo, hi)
+    G = _H(c.sharp(_nabla(c.A, c.B, 0.5), c.harm(c.A, c.B, 0.5), 0.5))
+    S = _H(c.sharp(c.A, c.B, 0.5))
+    lo = _lm(_scaled(c.cos3, G), S)
+    hi = _lm(S, _scaled(c.sec2, G))
+    return np.minimum(lo, hi)
 
 
 def _ev_mixed_ns(c):
@@ -368,67 +441,67 @@ def _ev_mixed_ns(c):
     # (joint concavity of sharp_s); the 1x1 case (1, 4, s=t=1/2) decides the
     # orientation: 1.5 against sqrt(2.5).
     s, t = c.draw_t(), c.draw_t()
-    ps = _power(s)
-    L = _H(arithmetic_mean(c.A, c.sigma(c.A, c.B, ps), t))
-    R = _H(c.sigma(c.A, arithmetic_mean(c.A, c.B, t), ps))
-    return _lm(L, c.sec2 * R)
+    L = _H(_nabla(c.A, c.sharp(c.A, c.B, s), t))
+    R = _H(c.sharp(c.A, _nabla(c.A, c.B, t), s))
+    return _lm(L, _scaled(c.sec2, R))
 
 
 def _ev_norm_real_sandwich(c):
     a = uinorm(c.A, c.norm)
     b = uinorm(c.ReA, c.norm)
-    return min(_sm(c.cosa * a, b), _sm(b, a))
+    return np.minimum(_sm(c.cosa * a, b), _sm(b, a))
 
 
 def _ev_f_norm_lower(c):
-    lhs = scalar_eval(c.f, uinorm(c.ReA, c.norm)).real
+    lhs = _each(lambda v: scalar_eval(c.f, v).real, uinorm(c.ReA, c.norm))
     rhs = uinorm(_H(c.apply(c.f, c.A)), c.norm)
     return _sm(lhs, rhs)
 
 
 def _ev_f_opnorm_sandwich(c):
-    v = scalar_eval(c.f, opnorm(c.ReA)).real
+    v = _each(lambda v: scalar_eval(c.f, v).real, opnorm(c.ReA))
     w = opnorm(_H(c.apply(c.f, c.A)))
-    return min(_sm(v, w), _sm(w, c.sec2 * v))
+    return np.minimum(_sm(v, w), _sm(w, c.sec2 * v))
 
 
 def _ev_phi_sigma_norm(c):
     L = uinorm(apply_map(c.phi, c.sigma(c.A, c.B)), c.norm)
     R = uinorm(c.sigma(apply_map(c.phi, c.A), apply_map(c.phi, c.B)), c.norm)
-    return _sm(c.cosa**3 * L, R)
+    return _sm(c.cos3 * L, R)
 
 
 def _ev_phi_nabla_norm(c):
     t = c.f.derivative_at_one
     L = uinorm(apply_map(c.phi, c.sigma(c.A, c.B)), c.norm)
-    R = uinorm(arithmetic_mean(apply_map(c.phi, c.A), apply_map(c.phi, c.B), t), c.norm)
-    return _sm(c.cosa**3 * L, R)
+    R = uinorm(_nabla(apply_map(c.phi, c.A), apply_map(c.phi, c.B), t), c.norm)
+    return _sm(c.cos3 * L, R)
 
 
 def _ev_ando_zhan(c):
     lhs = uinorm(c.apply(c.f, c.A + c.B), c.norm)
-    rhs = c.seca**3 * uinorm(c.apply(c.f, c.A) + c.apply(c.f, c.B), c.norm)
+    rhs = c.sec3 * uinorm(c.apply(c.f, c.A) + c.apply(c.f, c.B), c.norm)
     return _sm(lhs, rhs)
 
 
 def _ev_f_nabla_norm(c):
     t = c.draw_t()
-    L = uinorm(arithmetic_mean(c.apply(c.f, c.A), c.apply(c.f, c.B), t), c.norm)
-    R = uinorm(c.apply(c.f, arithmetic_mean(c.A, c.B, t)), c.norm)
-    return _sm(c.cosa**3 * L, R)
+    L = uinorm(_nabla(c.apply(c.f, c.A), c.apply(c.f, c.B), t), c.norm)
+    R = uinorm(c.apply(c.f, _nabla(c.A, c.B, t)), c.norm)
+    return _sm(c.cos3 * L, R)
 
 
 def _ev_norm_of_sigma(c):
     lhs = uinorm(c.sigma(c.A, c.B), c.norm)
-    rhs = c.seca**3 * scalar_sigma(uinorm(c.A, c.norm), uinorm(c.B, c.norm), c.f).real
+    rhs = c.sec3 * _each(lambda a, b: scalar_sigma(a, b, c.f).real,
+                         uinorm(c.A, c.norm), uinorm(c.B, c.norm))
     return _sm(lhs, rhs)
 
 
 # --- classical checks with no sectorial twin -------------------------------
 
 def _ev_pos_sharpando(c):
-    G = c.sigma(arithmetic_mean(c.A, c.B, 0.5), c.harm(c.A, c.B, 0.5), _power(0.5))
-    S = c.sigma(c.A, c.B, _power(0.5))
+    G = c.sharp(_nabla(c.A, c.B, 0.5), c.harm(c.A, c.B, 0.5), 0.5)
+    S = c.sharp(c.A, c.B, 0.5)
     return _dev(G, S)
 
 
@@ -559,7 +632,11 @@ def run_check(
 ) -> CheckReport:
     """Evaluate one check over ``spec.count`` samples and report the margin.
 
-    Every sec/cos factor uses the per-sample certified max(alpha_A, alpha_B).
+    The check is evaluated once, over the (S, n, n) stacks of the ensemble,
+    and gives one margin per sample; the report takes the least and the
+    first sample that attains it.  A margin that is not a number raises
+    NumericFailureError naming the check and the sample.  Every sec/cos
+    factor uses the per-sample certified max(alpha_A, alpha_B).
     Deterministic in (spec.seed, check_id).
     """
     try:
@@ -591,14 +668,13 @@ def run_check(
 
     eff_spec = _effective_spec(check_id, spec)
     start = time.perf_counter()
-    min_margin = math.inf
-    worst = 0
-    for i in range(eff_spec.count):
-        c = _Sample(eff_spec, i, check_id, f, g, phi, norm)
-        margin = float(d.evaluate(c))
-        if margin < min_margin:
-            min_margin = margin
-            worst = i
+    c = _Stack(_ensemble(eff_spec), check_id, f, g, phi, norm)
+    margins = np.asarray(d.evaluate(c), dtype=float)
+    nan = np.flatnonzero(np.isnan(margins))
+    if nan.size:
+        raise NumericFailureError(f"check {check_id}: sample {nan[0]} has margin nan")
+    worst = int(np.argmin(margins))
+    min_margin = float(margins[worst])
     elapsed = (time.perf_counter() - start) * 1e3
 
     threshold = TAU_EQ if d.kind == "identity" else TAU_LOEWNER
@@ -635,11 +711,12 @@ def run_suite(items: list[SuiteItem]) -> list[CheckReport]:
     """Run every item through run_check and return the reports in input order.
 
     Items are walked grouped by the spec they are evaluated on (alpha = 0 for
-    a positive check), groups in order of first appearance.  A group shares
-    its operand pairs and the means memoized on them, each computed once in
-    the elapsed_ms of the first check that needs it; every check keeps its
-    own random stream, so the walk changes no report.  A thread pool only
-    slowed the suite: its time is Python and tiny LAPACK calls.
+    a positive check), groups in order of first appearance.  A group is one
+    ensemble: its operand stacks and the means memoized on them are shared,
+    each computed once in the elapsed_ms of the first check that needs it,
+    and each check is evaluated over the whole stack at once.  Every sample
+    keeps its own random stream for each check, so neither the walk nor the
+    stacking changes a report.
     """
     group: dict[EnsembleSpec, int] = {}
     keys = [group.setdefault(_effective_spec(item.check, item.spec), len(group))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -294,6 +295,25 @@ class TestSuite:
         data = json.loads(report.read_text())
         assert data["all_pass"] is False
         assert data["failed"] == ["inv_real"]
+
+    def test_nan_margin_exit_4_names_check_and_sample(self, tmp_path, capsys, monkeypatch):
+        import amm.verify as verify_mod
+
+        d = verify_mod.REGISTRY["inv_real"]
+
+        def nan_at_one(c):
+            margins = d.evaluate(c)
+            margins[1] = np.nan
+            return margins
+
+        monkeypatch.setitem(verify_mod.REGISTRY, "inv_real",
+                            dataclasses.replace(d, evaluate=nan_at_one))
+        cfg = suite_config(tmp_path, [{"id": "inv_real", "dim": 2, "count": 3, "seed": 1}])
+        report = tmp_path / "r.json"
+        assert main(["suite", "--config", cfg, "--report", str(report)]) == 4
+        err = capsys.readouterr().err
+        assert "inv_real" in err and "sample 1" in err
+        assert not report.exists()
 
     def test_config_function_and_map(self, tmp_path):
         cfg = suite_config(tmp_path, [

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,16 @@ class TestNorms:
             linalg.uinorm(np.eye(2), linalg.TRACE)
         )
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_stack_is_per_matrix(self, kind):
+        rng = np.random.default_rng(19)
+        A = np.array([rand_complex(rng, 4) for _ in range(5)])
+        norms = linalg.uinorm(A, kind)
+        assert norms.shape == (5,)
+        for k in range(5):
+            assert norms[k] == linalg.uinorm(A[k], kind)
+            assert np.array_equal(linalg.singular_values(A)[k], linalg.singular_values(A[k]))
+
     def test_parse(self):
         assert linalg.NormKind.parse("kyfan(3)") == linalg.kyfan(3)
         assert linalg.NormKind.parse("operator") == linalg.OPERATOR
@@ -209,6 +220,28 @@ class TestLoewner:
         if fwd.holds and bwd.holds:
             scale = 1 + linalg.opnorm(X) + linalg.opnorm(Y)
             assert linalg.opnorm(X - Y) <= 2 * linalg.TAU_LOEWNER * scale
+
+    def test_largest_doubles(self):
+        # the Hermitian parts, the gap and the scale 1 + ||X|| + ||Y|| are
+        # taken from halved terms: unhalved, both directions gave NaN
+        X, Y = 1e308 * np.eye(2), 1.5e308 * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fwd, bwd = linalg.loewner_leq(X, Y), linalg.loewner_leq(Y, X)
+        assert fwd.margin == pytest.approx(0.2, rel=1e-15) and fwd.holds
+        assert bwd.margin == pytest.approx(-0.2, rel=1e-15) and not bwd.holds
+
+    def test_stack_is_pairwise(self):
+        rng = np.random.default_rng(8)
+        X = np.array([rand_hermitian(rng, 3) for _ in range(4)])
+        Y = np.array([rand_hermitian(rng, 3) for _ in range(4)])
+        v = linalg.loewner_leq(X, Y)
+        assert v.margin.shape == v.holds.shape == (4,)
+        for k in range(4):
+            one = linalg.loewner_leq(X[k], Y[k])
+            assert v.margin[k] == one.margin and v.holds[k] == one.holds
+        with pytest.raises(InvalidInputError):
+            linalg.loewner_leq(X, Y[:3])
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidInputError):

@@ -53,6 +53,16 @@ class TestApply:
             expected[half:, half:] = A[half:, half:]
             np.testing.assert_array_equal(apply_map(map_for(dim, "pinching"), A), expected)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_stack_is_per_matrix(self, variant):
+        rng = np.random.default_rng(37)
+        A = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+        phi = map_for(5, variant, 2)
+        out = apply_map(phi, A)
+        assert out.shape == (4, phi.dim_out, phi.dim_out)
+        for k in range(4):
+            np.testing.assert_array_equal(out[k], apply_map(phi, A[k]))
+
     def test_dimension_mismatch(self):
         phi = map_for(3, "compression")
         with pytest.raises(ParameterError):

@@ -319,7 +319,7 @@ class TestAdaptiveOrder:
     def test_matches_pinned_max_order_at_wide_sector(self):
         # at a fixed order of 80 all three sit 2.7e-10 from the order-512
         # value, which the suite never saw; a chosen order must not
-        from amm.verify import _Sample
+        from amm.verify import _Ensemble, _Stack
 
         spec = EnsembleSpec(dim=4, alpha_max=1.2, m=1.0, M=100.0, count=2, seed=3)
         A, B = random_sectorial(spec, 0), random_sectorial(spec, 1)
@@ -335,8 +335,10 @@ class TestAdaptiveOrder:
 
         assert close(sigma_mean(A, B, f), at_512(A, B))
         assert close(geometric_mean(A, B, 0.3), at_512(A, B))
-        s = _Sample(spec, 0, "sigma_inner", f, None, None, None)
-        assert close(s.sigma(s.A, s.B), at_512(s.A, s.B))
+        # the suite engine's stack, each sample at its own chosen order
+        s = _Stack(_Ensemble(spec), "sigma_inner", f, None, None, None)
+        for X, A_k, B_k in zip(s.sigma(s.A, s.B), s.A, s.B):
+            assert close(X, at_512(A_k, B_k))
 
     def test_hard_edge_pair_not_refused(self):
         spec = EnsembleSpec(dim=8, alpha_max=1.4, m=1.0, M=100.0, count=8, seed=1)

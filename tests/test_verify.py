@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from amm import funcalc, verify
-from amm.errors import ParameterError
+from amm.errors import NumericFailureError, ParameterError
 from amm.funcalc import catalog
 from amm.maps import random_map
 from amm.sector import EnsembleSpec
@@ -165,6 +166,76 @@ class TestRunCheck:
         assert r.passed
 
 
+class TestNanMargin:
+    @pytest.mark.parametrize("where", [[2], [0, 1, 2, 3]], ids=["one", "all"])
+    def test_nan_margin_raises(self, monkeypatch, where):
+        # NaN compares false with every margin: skipped, it would let an
+        # all-NaN check pass with min_margin inf
+        d = REGISTRY["inv_sector"]
+
+        def with_nan(c):
+            margins = d.evaluate(c)
+            margins[where] = np.nan
+            return margins
+
+        monkeypatch.setitem(REGISTRY, "inv_sector", replace(d, evaluate=with_nan))
+        with pytest.raises(NumericFailureError,
+                           match=f"inv_sector: sample {where[0]} has margin nan"):
+            run_check("inv_sector", small_spec(count=4))
+
+
+def _suite_args(item):
+    return dict(f=item.f, g=item.g, phi=item.phi, norm=item.norm)
+
+
+# every check at two dims and alpha in {0, pi/3}, with the functions, maps
+# and norms the default catalog gives it there
+_SMALL_CATALOG = [item for item in default_suite(samples=6)
+                  if item.spec.dim in (2, 5) and item.spec.alpha_max in (0.0, math.pi / 3)]
+
+
+class TestStackEquivalence:
+    @pytest.mark.parametrize("item", _SMALL_CATALOG,
+                             ids=[f"{i.check}-{i.spec.dim}-{i.spec.alpha_max:.2f}"
+                                  for i in _SMALL_CATALOG])
+    def test_stack_matches_stacks_of_one(self, item):
+        # the whole ensemble in one stack gives each sample the margin it
+        # gets alone, to the bit, so the report is that of a per-sample loop
+        report = run_check(item.check, item.spec, **_suite_args(item))
+        spec = verify._effective_spec(item.check, item.spec)
+        evaluate = REGISTRY[item.check].evaluate
+        alone = [float(evaluate(verify._Stack(verify._Ensemble(spec, [i]), item.check,
+                                              **_suite_args(item)))[0])
+                 for i in range(spec.count)]
+        assert report.min_margin == min(alone)
+        assert report.worst_index == alone.index(min(alone))
+
+    def test_catalog_covers_every_check(self):
+        assert {item.check for item in _SMALL_CATALOG} == set(CHECK_IDS)
+        assert len({item.check for item in _SMALL_CATALOG
+                    if item.spec.alpha_max > 0}) == len(SECTORIAL_IDS)
+
+
+class TestStackMemory:
+    def test_large_group_memory_bounded(self):
+        # n = 32, 64 samples: the resolvents of the first doubling step are
+        # 64 x 24 matrices, a 25 MB stack in one piece and 56 MB at peak; the
+        # sample axis is split so that no stack holds more than
+        # funcalc._STACK_ENTRIES complex entries (8 MiB), and the peak is 24 MB
+        spec = small_spec(dim=32, alpha=math.pi / 3, count=64, seed=7)
+        verify._ensemble.cache_clear()
+        verify._ensemble(spec)  # operands drawn outside the measurement
+        tracemalloc.start()
+        try:
+            report = run_check("real_superadditive", spec, f=catalog("power", 0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            verify._ensemble.cache_clear()
+        assert report.passed
+        assert peak < 32 * 2**20
+
+
 class TestRunSuite:
     def test_empty(self):
         assert run_suite([]) == []
@@ -197,7 +268,7 @@ class TestRunSuite:
             walked.append(check_id)
             return real_run_check(check_id, spec, **kwargs)
 
-        verify._spec_pairs.cache_clear()
+        verify._ensemble.cache_clear()
         monkeypatch.setattr(verify, "run_check", recording)
         reports = run_suite(items)
         assert walked == ["real_superadditive", "real_sector_reverse", "choi_sector",
@@ -206,7 +277,7 @@ class TestRunSuite:
         assert [r.check for r in reports] == [item.check for item in items]
         assert reports[2].ensemble == asdict(flat)
         for item, report in zip(items, reports):
-            verify._spec_pairs.cache_clear()
+            verify._ensemble.cache_clear()
             alone = real_run_check(item.check, item.spec, f=item.f, phi=item.phi)
             assert report.to_dict() == alone.to_dict()
 
@@ -215,7 +286,8 @@ class TestRunSuite:
         real_sigma = funcalc._sigma
 
         def counting(X, Y, measure, *args, **kwargs):
-            calls.append(measure.density is not None)
+            if measure.density is not None:
+                calls.append(len(X))  # one call per stack, one entry per sample
             return real_sigma(X, Y, measure, *args, **kwargs)
 
         monkeypatch.setattr(funcalc, "_sigma", counting)
@@ -225,34 +297,65 @@ class TestRunSuite:
         def density_integrals(checks, spec=spec):
             before = len(calls)
             run_suite([SuiteItem(cid, spec, f=f) for cid in checks])
-            return sum(calls[before:])
+            return len(calls) - before, sum(calls[before:])
 
-        verify._spec_pairs.cache_clear()
-        # sigma(ReA, ReB) and sigma(A, B) once per sample ...
-        assert density_integrals(["real_superadditive"]) == 2 * spec.count
-        # ... and real_sector_reverse, on the same pair and f, adds none
-        verify._spec_pairs.cache_clear()
-        assert density_integrals(["real_superadditive", "real_sector_reverse"]) == 2 * spec.count
-        assert density_integrals(["real_sector_reverse"]) == 0
+        verify._ensemble.cache_clear()
+        # sigma(ReA, ReB) and sigma(A, B) once per sample, each in one stack ...
+        assert density_integrals(["real_superadditive"]) == (2, 2 * spec.count)
+        # ... and real_sector_reverse, on the same ensemble and f, adds none
+        verify._ensemble.cache_clear()
+        assert density_integrals(["real_superadditive", "real_sector_reverse"]) == (
+            2, 2 * spec.count)
+        assert density_integrals(["real_sector_reverse"]) == (0, 0)
 
-        # a spec's pairs and memos go once two newer specs were used
-        kept = verify._spec_pairs.cache_parameters()["maxsize"]
+        # a spec's stacks and memos go once two newer specs were used
+        kept = verify._ensemble.cache_parameters()["maxsize"]
         assert kept == 2
         for seed in range(kept):
             density_integrals(["inv_real"], replace(spec, seed=seed))
-        assert verify._spec_pairs.cache_info().currsize == kept
-        assert density_integrals(["real_sector_reverse"]) == 2 * spec.count
+        assert verify._ensemble.cache_info().currsize == kept
+        assert density_integrals(["real_sector_reverse"]) == (2, 2 * spec.count)
+
+    def test_per_sample_weights_fill_the_memo(self, monkeypatch):
+        # a weight drawn per sample goes to the kernel as one stack with one
+        # measure per sample, and fills the memo sample by sample: a later
+        # call that needs the same mean of the same sample finds it there
+        calls = []
+        real_sigma = funcalc._sigma
+
+        def counting(X, Y, measure, *args, **kwargs):
+            calls.append(len(X))
+            return real_sigma(X, Y, measure, *args, **kwargs)
+
+        monkeypatch.setattr(funcalc, "_sigma", counting)
+        verify._ensemble.cache_clear()
+        c = verify._Stack(verify._ensemble(small_spec(dim=2, count=8)), "sharp_real_super",
+                          None, None, None, None)
+        t = c.draw_t()
+        assert len(set(t.tolist())) > 1
+        G = c.sharp(c.A, c.B, t)
+        assert calls == [8]
+        assert np.array_equal(c.sharp(c.A, c.B, t), G) and calls == [8]
+        # one weight for all samples computes only the samples drawn another
+        same = t == t[0]
+        full = c.sharp(c.A, c.B, t[0])
+        assert calls == [8, np.count_nonzero(~same)]
+        assert np.array_equal(full[same], G[same])
+        for k in np.flatnonzero(~same):
+            alone = funcalc._sigma(c.A[k], c.B[k], catalog("power", float(t[k])).measure)[0]
+            assert np.array_equal(G[k], alone)
 
     def test_shared_operands_read_only(self):
         f = catalog("power", 0.5)
-        c = verify._Sample(small_spec(dim=3, count=2), 0, "real_superadditive",
-                           f, None, None, None)
+        c = verify._Stack(verify._Ensemble(small_spec(dim=3, count=2)), "real_superadditive",
+                          f, None, None, None)
         S = c.sigma(c.A, c.B)
-        assert c.sigma(c.A, c.B) is S  # memoized on the pair
+        assert S.shape == (2, 3, 3)
+        assert c.sigma(c.A, c.B) is S  # memoized on the ensemble
         for X in (c.A, c.B, c.ReA, c.ReB, S, c.apply(f, c.ReA), c.harm(c.A, c.B, 0.3)):
             with pytest.raises(ValueError, match="read-only"):
-                X[0, 0] = 0.0
-        # an operand that is not one of the pair's roles is not memoized
+                X[0, 0, 0] = 0.0
+        # an operand that is not one of the ensemble's roles is not memoized
         C = c.A + c.ReB
         assert c.sigma(C, c.B) is not c.sigma(C, c.B)
         assert c.sigma(C, c.B).flags.writeable
