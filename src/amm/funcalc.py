@@ -53,9 +53,8 @@ from .sector import certify
 _START_ORDER = 8
 _MAX_ORDER = 512
 _DRIFT_TOL = 1e-8
-_CHUNK = 128
-# complex entries of one resolvent stack of _integrate (8 MiB); a chunk holds
-# at least one sample
+# complex entries of one resolvent stack of _integrate or dunford_apply
+# (8 MiB); a chunk holds at least one sample or one contour node
 _STACK_ENTRIES = 2**19
 
 
@@ -70,47 +69,41 @@ def _not_converged(order: int, drift: float) -> NumericFailureError:
     )
 
 
-def _converged(compute: Callable, order: int | None = None) -> tuple[np.ndarray, int | np.ndarray]:
+def _converged(compute: Callable, order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature values of a stack of samples, and the order each was taken at.
 
-    compute(orders, rows=None) evaluates the quadrature of the samples
-    ``rows`` (all of them by default) at each of the given orders in one
-    batch and returns one stack per order.  Each sample's order is chosen by
-    doubling from _START_ORDER: orders 8 and 16 share one batch, and a
-    sample's higher-order value is returned once doubling moves it by at
-    most 1e-8 relative to its size (the entrywise max norm, so a result far
-    below 1 is held to the same relative test as any other).  A sample that
-    has settled drops out, and only the pending ones are evaluated at the
-    next order, so every sample gets the order it would get alone.  A
-    larger move at _MAX_ORDER, or one that is not a number, raises
-    NumericFailureError for the first such sample.  The orders come back
-    as one number while all samples share one, else one per sample.  A
-    pinned order is computed as given, for every sample; only routes that
-    must run at the nodes of an order already chosen pin one.
+    compute(orders, rows) evaluates the quadrature of the samples at the
+    index array ``rows`` (all of them by default) at each of the given
+    orders in one batch and returns one stack per order.  Each sample's
+    order is chosen by doubling from _START_ORDER: orders 8 and 16 share one
+    batch, and a sample's higher-order value is returned once doubling
+    moves it by at most 1e-8 relative to its size (the entrywise max norm,
+    so a result far below 1 is held to the same relative test as any
+    other).  The pending samples are tracked as an index array from the
+    first step: a sample that has settled drops out of it, and only the
+    pending ones are evaluated at the next order, so every sample gets the
+    order it would get alone.  A larger move at _MAX_ORDER, or one that is
+    not a number, raises NumericFailureError for the first such sample.
+    The orders come back as an array, one per sample.  A pinned order is
+    computed as given, for every sample; only routes that must run at the
+    nodes of an order already chosen pin one.
     """
     if order:
-        return compute((order,))[0], order
+        X = compute((order,))[0]
+        return X, np.full(len(X), order)
     order = 2 * _START_ORDER
     X, X2 = compute((_START_ORDER, order))
-    # rows: the samples still pending, None while that is all of them
-    values, orders, rows = X2, order, None
+    values, orders, rows = X2, np.full(len(X2), order), np.arange(len(X2))
     while True:
         drift = _drift(X, X2)
-        if drift.max() <= _DRIFT_TOL:
-            return values, orders
         late = ~(drift <= _DRIFT_TOL)
+        if not late.any():
+            return values, orders
         if order >= _MAX_ORDER:
             raise _not_converged(order // 2, drift[late][0])
-        if not late.all():
-            if rows is None:
-                rows, orders = np.arange(len(values)), np.full(len(values), order)
-            rows, X2 = rows[late], X2[late]
-        X, order = X2, 2 * order
+        rows, X, order = rows[late], X2[late], 2 * order
         X2 = compute((order,), rows)[0]
-        if rows is None:
-            values, orders = X2, order
-        else:
-            values[rows], orders[rows] = X2, order
+        values[rows], orders[rows] = X2, order
 
 
 @dataclass(frozen=True)
@@ -449,9 +442,11 @@ def _integrate(P, Q, measure, plan=None, ends=None):
     from ends when given and otherwise from one inversion of [P, Q], and
     the order is the doubling's (see _converged); a route that must run at
     the nodes of another passes that route's plan, which is used as is.
-    The resolvents at the density nodes of every order _converged asks for
-    go to solve_stack in one batch per chunk of samples, a chunk holding at
-    most _STACK_ENTRIES complex entries or one sample.  ends = (P^{-1},
+    The resolvents at the density nodes of every order _converged asks for,
+    for the samples it names by index, go to solve_stack in one batch per
+    chunk of samples, a chunk holding at most _STACK_ENTRIES complex entries
+    or one sample.  The plan is read off the per-sample arrays of scales
+    and of _converged's orders.  ends = (P^{-1},
     Q^{-1}), when given, are the exact values of atoms at t = 0 and t = 1.
     Summation order is fixed: atoms in declaration order, then nodes by
     index.  Pure-atom measures are exact: they are evaluated once,
@@ -483,47 +478,39 @@ def _integrate(P, Q, measure, plan=None, ends=None):
     densities = [measure.density] * count if single else [m.density for m in measures]
     if plan is None:
         inverses = ends if ends is not None else np.split(solve_stack(np.concatenate([P, Q])), 2)
-        orders, scales = None, _balance(measure.density if single else densities, (P, Q), inverses)
+        order, scales = None, _balance(densities, (P, Q), inverses)
     else:
-        orders, scales = int(plan[0]), np.full(count, float(plan[1]))
+        order, scales = int(plan[0]), np.full(count, float(plan[1]))
 
-    def integrals(orders, W, u, r, c):
-        """Each order's weighted sum of the resolvents at its nodes u, for the samples r."""
-        # u/c Q = u (Q/c) to the bit: c is a power of two.  The coefficients
-        # are made complex first, as the product would cast them anyway, so
-        # the products take numpy's complex loop without a buffered cast.
-        pencil = (1.0 - u).astype(np.complex128)[:, :, None, None] * P[r, None]
-        pencil += (u / c[:, None]).astype(np.complex128)[:, :, None, None] * Q[r, None]
-        stack = solve_stack(pencil.reshape(-1, n, n)).reshape(pencil.shape)
-        bounds = [0, *accumulate(orders)]
-        return [np.einsum("...k,...kij->...ij", w, stack[:, lo:hi])
-                for w, lo, hi in zip(W, bounds, bounds[1:])]
-
-    def compute(orders, rows=None):
+    def compute(orders, rows=np.arange(count)):
         """Each order's value for the samples rows (all of them by default)."""
-        c = scales if rows is None else scales[rows]
-        ds = densities if rows is None else [densities[k] for k in rows.tolist()]
+        c = scales[rows]
         # each row's nodes and weights: one row for all when they share them
-        tables = [_nodes(d, orders, ck) for d, ck in zip(ds, c.tolist())]
+        tables = [_nodes(densities[k], orders, ck) for k, ck in zip(rows.tolist(), c.tolist())]
         shared = all(t is tables[0] for t in tables)
         u, W = tables[0] if shared else (np.concatenate([t[0] for t in tables]),
                                          [np.concatenate(w) for w in zip(*(t[1] for t in tables))])
+        bounds = [0, *accumulate(orders)]
+        values = [np.empty((len(rows), n, n), dtype=np.complex128) for _ in orders]
         step = max(1, _STACK_ENTRIES // (u.shape[1] * n * n))
-        parts = []
-        for lo in range(0, len(c), step):
+        for lo in range(0, len(rows), step):
             part = slice(lo, lo + step)
-            own = slice(None) if shared else part
-            parts.append(integrals(orders, [w[own] for w in W], u[own],
-                                   part if rows is None else rows[part], c[part]))
-        values = parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
-        if total is not None:
-            values = [(total if rows is None else total[rows]) + X for X in values]
-        return values
+            own, r = slice(None) if shared else part, rows[part]
+            # stack: the pencil, then its resolvents, one name so that the
+            # last chunk's are freed before this one's are made.  u/c Q =
+            # u (Q/c) to the bit: c is a power of two.  The coefficients are
+            # made complex first, as the product would cast them anyway, so
+            # the products take numpy's complex loop without a buffered cast.
+            stack = (1.0 - u[own]).astype(np.complex128)[:, :, None, None] * P[r, None]
+            stack += (u[own] / c[part, None]).astype(np.complex128)[:, :, None, None] * Q[r, None]
+            stack = solve_stack(stack.reshape(-1, n, n)).reshape(stack.shape)
+            for X, w, k0, k1 in zip(values, W, bounds, bounds[1:]):
+                X[part] = np.einsum("...k,...kij->...ij", w[own], stack[:, k0:k1])
+        return values if total is None else [total[rows] + X for X in values]
 
-    X, orders = _converged(compute, orders)
+    X, orders = _converged(compute, order)
     if len(shape) == 2:  # a matrix: its plan as plain numbers
-        return X[0], (orders if isinstance(orders, int) else int(orders[0]), float(scales[0]))
-    orders = np.array([orders] * count) if isinstance(orders, int) else orders
+        return X[0], (int(orders[0]), float(scales[0]))
     return X.reshape(shape), (orders.reshape(shape[:-2]), scales.reshape(shape[:-2]))
 
 
@@ -615,8 +602,9 @@ def dunford_apply(f: MonotoneFunction, A, contour: DunfordContour) -> np.ndarray
     On z = exp(c + d cos(theta - i eta)) the integrand is periodic and
     analytic in theta, so the trapezoid rule converges geometrically; the
     independent cross-check against apply_function.  The resolvents go
-    through solve_stack _CHUNK nodes at a time, so memory stays
-    O(_CHUNK n^2) whatever the node count.
+    through solve_stack in chunks of at most _STACK_ENTRIES complex entries,
+    as those of _integrate do (128 nodes at n = 64), so memory stays bounded
+    whatever the node count.
     """
     A = require_accretive(as_matrix(A))
     if contour.nodes < 16:
@@ -631,10 +619,10 @@ def dunford_apply(f: MonotoneFunction, A, contour: DunfordContour) -> np.ndarray
     # dz = z w'(theta) dtheta with w' = -d sin(phase), and 2 pi / N per node over 2 pi i
     weights = 1j * d * np.sin(phase) * z * fz / N
     F = np.zeros((n, n), dtype=np.complex128)
-    eye = np.eye(n)
-    for k in range(0, N, _CHUNK):
-        resolvents = solve_stack(z[k:k + _CHUNK, None, None] * eye - A)
-        F += np.tensordot(weights[k:k + _CHUNK], resolvents, 1)
+    eye, step = np.eye(n), max(1, _STACK_ENTRIES // (n * n))
+    for k in range(0, N, step):
+        resolvents = solve_stack(z[k:k + step, None, None] * eye - A)
+        F += np.tensordot(weights[k:k + step], resolvents, 1)
     return F
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import diag_matrix, is_accretive, require_accretive  # noqa: F401
+from .linalg import diag_matrix, hermitian, imaginary_part, require_accretive
+from .linalg import is_accretive  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,9 @@ def certify(A) -> SectorCertificate:
     fields are arrays of its leading shape, each entry the matrix's own.
     """
     A = require_accretive(A)
-    Ah = A.conj().swapaxes(-1, -2)
-    vals, vecs = np.linalg.eigh(A / 2.0 + Ah / 2.0)
+    vals, vecs = np.linalg.eigh(hermitian(A))
     W = vecs @ diag_matrix(vals**-0.5) @ vecs.conj().swapaxes(-1, -2)
-    H = W @ ((A - Ah) / 2.0j) @ W
-    H = (H + H.conj().swapaxes(-1, -2)) / 2.0
-    rho = np.abs(np.linalg.eigvalsh(H)).max(axis=-1)
+    rho = np.abs(np.linalg.eigvalsh(hermitian(W @ imaginary_part(A) @ W))).max(axis=-1)
     alpha = np.array([math.atan(r) for r in np.ravel(rho).tolist()]).reshape(rho.shape)
     return SectorCertificate(alpha=alpha[()], m=vals[..., 0][()], M=vals[..., -1][()])
 

@@ -102,9 +102,11 @@ def _power(t: float) -> MonotoneFunction:
 class _Ensemble:
     """Samples ``indices`` (all of the spec's by default) of a spec: their
     operand pairs as read-only (S, n, n) stacks A, B, Re A, Re B and I (the
-    roles), each pair's certified (alpha, m, M), and a memo of the shared
-    kernel's values on pairs of roles.  Sample i is the same pair in any
-    subset: its draws depend on (spec.seed, i) only."""
+    roles), each pair's certified m and M and the cos/sec factors of its
+    angle as read-only arrays over the samples, computed once for every
+    check of the ensemble, and a memo of the shared kernel's values on pairs
+    of roles.  Sample i is the same pair in any subset: its draws depend on
+    (spec.seed, i) only."""
 
     def __init__(self, spec: EnsembleSpec, indices=None):
         self.seed = spec.seed
@@ -116,9 +118,13 @@ class _Ensemble:
         eye = np.broadcast_to(np.eye(spec.dim, dtype=np.complex128), A.shape)
         self.roles = tuple(read_only(X) for X in (A, B, _H(A), _H(B), eye))
         self.role_of = {id(X): k for k, X in enumerate(self.roles)}  # identity, not bytes
-        self.alpha = np.maximum(cA.alpha, cB.alpha).tolist()
-        self.m = np.minimum(cA.m, cB.m).tolist()
-        self.M = np.maximum(cA.M, cB.M).tolist()
+        # m, M and the factors of the larger angle, in _Stack's order; the
+        # powers are taken on Python floats (see _each)
+        cosa = [math.cos(a) for a in np.maximum(cA.alpha, cB.alpha).tolist()]
+        seca = [1.0 / c for c in cosa]
+        self.factors = tuple(read_only(np.array(x)) for x in (
+            np.minimum(cA.m, cB.m), np.maximum(cA.M, cB.M), cosa, seca,
+            [c * c for c in cosa], [s * s for s in seca], [c**3 for c in cosa], [s**3 for s in seca]))
         self.memo: dict = {}
 
 
@@ -131,19 +137,15 @@ def _ensemble(spec: EnsembleSpec) -> _Ensemble:
 
 
 class _Stack:
-    """One check's evaluation context over an ensemble: its role stacks, the
+    """One check's evaluation context over an ensemble: its role stacks, its
     per-sample sector factors, and each sample's random stream, seeded
     (spec seed, crc32(check id), sample index)."""
 
     def __init__(self, ens: _Ensemble, check_id, f, g, phi, norm):
         self._ens = e = ens
         self.A, self.B, self.ReA, self.ReB, self.eye = e.roles
-        self.m, self.M = np.array(e.m), np.array(e.M)
-        cosa = [math.cos(a) for a in e.alpha]
-        seca = [1.0 / c for c in cosa]
-        self.cosa, self.seca = np.array(cosa), np.array(seca)
-        self.cos2, self.sec2 = self.cosa * self.cosa, self.seca * self.seca
-        self.cos3, self.sec3 = np.array([c**3 for c in cosa]), np.array([s**3 for s in seca])
+        (self.m, self.M, self.cosa, self.seca, self.cos2, self.sec2,
+         self.cos3, self.sec3) = e.factors
         self.f, self.g, self.phi, self.norm = f, g, phi, norm
         crc = zlib.crc32(check_id.encode())
         self._seeds = [(e.seed, crc, i) for i in e.indices]
@@ -229,7 +231,7 @@ class _Stack:
         # same sector since only the real part grows.
         n = self.A.shape[-1]
         G, d = [], []
-        for rng, M in zip(self.rngs, self._ens.M):
+        for rng, M in zip(self.rngs, self.M.tolist()):
             G.append(sector.ginibre(n, rng))
             d.append(rng.uniform(0.0, M, size=n))
         U = sector.haar_from(np.array(G))

@@ -381,3 +381,33 @@ class TestAdaptiveOrder:
         with pytest.raises(NumericFailureError, match="not converged at order 256"):
             funcalc._integrate(P, Q, measure)
         assert batches == [2, 8 + 16, 32, 64, 128, 256, 512]
+
+    def test_stack_of_mixed_plans_matches_each_sample(self, monkeypatch):
+        # three samples with their own measure and scale: one settles at
+        # order 128 and two at 32, at scales 1, 2^-7 and 2^12, so the nodes
+        # and weights are per row and off c = 1.  The stack gives each
+        # sample's value and plan alone to the bit, and each doubling
+        # re-solves only the samples still pending
+        spec = EnsembleSpec(dim=4, alpha_max=1.2, m=1.0, M=100.0, count=6, seed=3)
+        A = np.array([random_sectorial(spec, 2 * k) for k in range(3)])
+        B = np.array([s * random_sectorial(spec, 2 * k + 1)
+                      for k, s in enumerate((1.0, 2.0**12, 2.0**-12))])
+        measures = [catalog("power", 0.3).measure, catalog("uniform").measure,
+                    catalog("power", 0.7).measure]
+        batches = []
+
+        def counting(stack):
+            batches.append(len(stack))
+            return solve_stack(stack)
+
+        monkeypatch.setattr(funcalc, "solve_stack", counting)
+        X, (orders, scales) = funcalc._sigma(A, B, measures)
+        assert orders.tolist() == [32, 128, 32]
+        assert scales.tolist() == [1.0, 2.0**-7, 2.0**12]
+        # the pair's inversion, orders 8 and 16 and 32 for all three, then
+        # 64 and 128 for the second sample alone
+        assert batches == [6, 3 * (8 + 16), 3 * 32, 64, 128]
+        for k in range(3):
+            Xk, plan = funcalc._sigma(A[k], B[k], measures[k])
+            assert np.array_equal(X[k], Xk), f"sample {k}"
+            assert plan == (orders[k], scales[k])
