@@ -35,8 +35,6 @@ from itertools import accumulate
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import beta
 
 from . import linalg
 from .errors import InvalidInputError, NumericFailureError, ParameterError
@@ -150,15 +148,24 @@ class QuadratureRule:
     order: int
 
 
+def _beta(a: float, b: float) -> float:
+    """B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), by lgamma where Gamma(a + b) overflows."""
+    if a + b < 171.0:
+        return math.gamma(a) / math.gamma(a + b) * math.gamma(b)
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
 @lru_cache(maxsize=256)
 def _cached_rule(exp0: float, exp1: float, order: int) -> QuadratureRule:
     # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    # weight t^exp0 (1-t)^exp1.  The weights are the Christoffel numbers
-    # mu0 / sum_k p_k(x)^2 of the orthonormal polynomials p_k at the nodes
-    # (mu0 times the squared first eigenvector components, without the
-    # eigenvectors).  The three-term recurrence is the one of the Jacobi
-    # polynomials on [-1, 1] for the weight (1-x)^a (1+x)^b with a = exp1,
-    # b = exp0, shifted to t = (1+x)/2.
+    # weight t^exp0 (1-t)^exp1, taken by numpy's dense Hermitian eigensolver
+    # from its lower triangle (as fast as a tridiagonal solver at the orders
+    # up to 64 that the suite builds).  The weights are the Christoffel
+    # numbers mu0 / sum_k p_k(x)^2 of the orthonormal polynomials p_k at the
+    # nodes (mu0 times the squared first eigenvector components, without the
+    # eigenvectors), with mu0 = B(exp0 + 1, exp1 + 1).  The three-term
+    # recurrence is the one of the Jacobi polynomials on [-1, 1] for the
+    # weight (1-x)^a (1+x)^b with a = exp1, b = exp0, shifted to t = (1+x)/2.
     a, b = exp1, exp0
     ab = a + b
     k = np.arange(order + 1, dtype=float)
@@ -176,7 +183,8 @@ def _cached_rule(exp0: float, exp1: float, order: int) -> QuadratureRule:
     # step on p_order corrects each node and its weight to first order.  The
     # recurrence runs in extended precision (where the platform has it): in
     # double its own rounding moves the moments by up to 2e-14 at order 512.
-    x = eigvalsh_tridiagonal(diag[:order], off[:order - 1]).astype(np.longdouble)
+    J = np.diag(diag[:order]) + np.diag(off[:order - 1], -1)
+    x = np.linalg.eigvalsh(J).astype(np.longdouble)
     zero = np.zeros(order, dtype=np.longdouble)
     p_prev, p, dp_prev, dp, total, dtotal = zero, zero + 1.0, zero, zero, zero, zero
     for j in range(order):
@@ -186,7 +194,7 @@ def _cached_rule(exp0: float, exp1: float, order: int) -> QuadratureRule:
                                   dp, (p + u * dp - prev * dp_prev) / off[j])
     step = p / dp
     nodes = ((x + 1.0 - step) / 2.0).astype(float)
-    weights = (beta(exp0 + 1.0, exp1 + 1.0) / (total - dtotal * step)).astype(float)
+    weights = (_beta(exp0 + 1.0, exp1 + 1.0) / (total - dtotal * step)).astype(float)
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
 

@@ -4,7 +4,7 @@ Everything downstream (sector certification, functional calculus, means,
 verification) is built on the handful of operations defined here: Hermitian
 split, linear solves, singular values, unitarily invariant norms,
 Loewner-order tests, the accretivity predicate and the principal matrix
-square root.  Eigen/solve work is delegated to LAPACK through numpy/scipy;
+square root.  Eigen/solve work is delegated to LAPACK through numpy;
 the contracts (ordering, residuals, error reporting) are pinned here and in
 the test suite.
 """
@@ -12,11 +12,9 @@ the test suite.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InvalidInputError,
@@ -102,25 +100,29 @@ def imaginary_part(A) -> np.ndarray:
 
 
 def lu_solve(A, B) -> np.ndarray:
-    """Solve AX = B by partially pivoted LU.
+    """Solve AX = B, for a vector or a matrix B, by Gaussian elimination with partial pivoting.
 
-    Raises SingularMatrixError carrying the failing pivot index when a
-    pivot falls below 1e-13 * max|A|.  Public only: the package inverts
-    through solve_stack.
+    Each step pivots on the largest |Re| + |Im| of its column, as LAPACK's
+    izamax does, and raises SingularMatrixError carrying the step's index
+    at the first pivot of modulus at most 1e-13 * max|A|.  Public only: the
+    package inverts through solve_stack.
     """
-    A = as_matrix(A)
-    B = np.asarray(B, dtype=np.complex128)
-    if B.shape[0] != A.shape[0]:
-        raise InvalidInputError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diagonal(lu))
-    tol = 1e-13 * maxabs(A)
-    bad = np.nonzero(pivots <= tol)[0]
-    if bad.size:
-        raise SingularMatrixError(int(bad[0]))
-    return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
+    U = as_matrix(A).copy()
+    X = np.array(B, dtype=np.complex128)
+    if X.ndim not in (1, 2) or X.shape[0] != U.shape[0]:
+        raise InvalidInputError(f"dimension mismatch: {U.shape} vs {X.shape}")
+    tol = 1e-13 * maxabs(U)
+    for k in range(len(U)):
+        p = k + int(np.argmax(abs(U[k:, k].real) + abs(U[k:, k].imag)))
+        if not abs(U[p, k]) > tol:
+            raise SingularMatrixError(k)
+        U[[k, p]], X[[k, p]] = U[[p, k]], X[[p, k]]
+        lk = U[k + 1:, k] / U[k, k]
+        U[k + 1:, k + 1:] -= np.outer(lk, U[k, k + 1:])
+        X[k + 1:] -= np.multiply.outer(lk, X[k])
+    for k in reversed(range(len(U))):
+        X[k] = (X[k] - U[k, k + 1:] @ X[k + 1:]) / U[k, k]
+    return X
 
 
 def inverse(A) -> np.ndarray:

@@ -109,21 +109,16 @@ def random_sectorial(spec: EnsembleSpec, index: int) -> np.ndarray:
     n = spec.dim
     p = rng.uniform(spec.m, spec.M, size=n)
     U = haar_unitary(n, rng)
-    S = U @ np.diag(np.sqrt(p)) @ U.conj().T
-    S = (S + S.conj().T) / 2.0  # exact Hermitian square root of P
-    P = S @ S
-    P = (P + P.conj().T) / 2.0
+    S = hermitian(U @ np.diag(np.sqrt(p)) @ U.conj().T)  # exact Hermitian square root of P
+    P = hermitian(S @ S)
     if spec.alpha_max == 0.0:
         return P.astype(np.complex128)
-    G = ginibre(n, rng)
-    T = (G + G.conj().T) / 2.0
+    T = hermitian(ginibre(n, rng))
     u = rng.uniform(0.0, 1.0)
     tnorm = float(np.max(np.abs(np.linalg.eigvalsh(T))))
     if tnorm > 0.0:
         T = T * (u * math.tan(spec.alpha_max) / tnorm)
-    Im = S @ T @ S
-    Im = (Im + Im.conj().T) / 2.0
-    return P + 1j * Im
+    return P + 1j * hermitian(S @ T @ S)
 
 
 def random_pd(spec: EnsembleSpec, index: int) -> np.ndarray:

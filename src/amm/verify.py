@@ -123,7 +123,7 @@ class _Ensemble:
         cosa = [math.cos(a) for a in np.maximum(cA.alpha, cB.alpha).tolist()]
         seca = [1.0 / c for c in cosa]
         self.factors = tuple(read_only(np.array(x)) for x in (
-            np.minimum(cA.m, cB.m), np.maximum(cA.M, cB.M), cosa, seca,
+            np.minimum(cA.m, cB.m), np.maximum(cA.M, cB.M), cosa,
             [c * c for c in cosa], [s * s for s in seca], [c**3 for c in cosa], [s**3 for s in seca]))
         self.memo: dict = {}
 
@@ -144,8 +144,7 @@ class _Stack:
     def __init__(self, ens: _Ensemble, check_id, f, g, phi, norm):
         self._ens = e = ens
         self.A, self.B, self.ReA, self.ReB, self.eye = e.roles
-        (self.m, self.M, self.cosa, self.seca, self.cos2, self.sec2,
-         self.cos3, self.sec3) = e.factors
+        self.m, self.M, self.cosa, self.cos2, self.sec2, self.cos3, self.sec3 = e.factors
         self.f, self.g, self.phi, self.norm = f, g, phi, norm
         crc = zlib.crc32(check_id.encode())
         self._seeds = [(e.seed, crc, i) for i in e.indices]
@@ -235,8 +234,7 @@ class _Stack:
             G.append(sector.ginibre(n, rng))
             d.append(rng.uniform(0.0, M, size=n))
         U = sector.haar_from(np.array(G))
-        Q = U @ diag_matrix(np.array(d)) @ U.conj().swapaxes(-1, -2)
-        return (Q + Q.conj().swapaxes(-1, -2)) / 2.0
+        return _H(U @ diag_matrix(np.array(d)) @ U.conj().swapaxes(-1, -2))
 
     def conditioned_invertible(self) -> np.ndarray:
         # Invertible with singular values in [1/2, 2] so identity checks are

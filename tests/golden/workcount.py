@@ -11,21 +11,36 @@ numbers; unlike a timing, they do not depend on the load of the host.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 
 from amm import funcalc, linalg, verify
 
 
-def main(samples: int) -> None:
-    calls, work = 0, 0
+@contextmanager
+def counted_solves():
+    """Count, inside the block, the solve_stack calls of funcalc and verify and their sum of K n^3.
+
+    Yields a dict whose "calls" and "work" grow as the block runs.
+    """
+    tally = {"calls": 0, "work": 0}
 
     def counting(stack):
-        nonlocal calls, work
-        calls, work = calls + 1, work + stack.shape[0] * stack.shape[-1] ** 3
+        tally["calls"] += 1
+        tally["work"] += stack.shape[0] * stack.shape[-1] ** 3
         return linalg.solve_stack(stack)
 
+    saved = funcalc.solve_stack, verify.solve_stack
     funcalc.solve_stack = verify.solve_stack = counting
-    verify.run_suite(verify.default_suite(samples))
-    print(f"{calls} solve_stack calls, sum K n^3 = {work:.3e}")
+    try:
+        yield tally
+    finally:
+        funcalc.solve_stack, verify.solve_stack = saved
+
+
+def main(samples: int) -> None:
+    with counted_solves() as tally:
+        verify.run_suite(verify.default_suite(samples))
+    print(f"{tally['calls']} solve_stack calls, sum K n^3 = {tally['work']:.3e}")
 
 
 if __name__ == "__main__":

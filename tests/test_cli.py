@@ -391,16 +391,38 @@ class TestMalformedFiles:
         assert "invalid input:" in capsys.readouterr().err
 
 
+def run_child(*argv):
+    """Run python with argv in a child process that imports amm from this checkout."""
+    # the pytest pythonpath setting does not reach a child process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntry:
     def test_module_invocation(self, tmp_path):
         A = tmp_path / "a.json"
         write_mat(A, np.eye(2))
-        # the pytest pythonpath setting does not reach a child process
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "amm", "angle", "--a", str(A)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_child("-m", "amm", "angle", "--a", str(A))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["accretive"] is True
+
+    def test_runs_on_numpy_alone(self, tmp_path):
+        # scipy is a test dependency only: importing amm, a compute and a
+        # suite that reaches every check load no scipy module
+        A, B, out = (str(tmp_path / name) for name in ("a.json", "b.json", "g.json"))
+        write_mat(A, [[2.0, 1j], [-1j, 3.0]])
+        write_mat(B, [[1.0, 0.5], [0.5, 2.0 + 1j]])
+        script = (
+            "import sys\n"
+            "from amm.cli import main\n"
+            f"assert main(['compute', '--op', 'geometric', '--a', {A!r}, '--b', {B!r},"
+            f" '--lambda', '0.3', '--out', {out!r}]) == 0\n"
+            f"assert main(['suite', '--default', '--samples', '1', '--report',"
+            f" {str(tmp_path / 'r.json')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        proc = run_child("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -87,6 +87,14 @@ class TestQuadrature:
         assert np.all(rule.weights > 0)
         assert np.all((rule.nodes > 0) & (rule.nodes < 1))
 
+    @pytest.mark.parametrize("e0,e1", [(200.0, 0.5), (0.5, 400.0)])
+    def test_weight_sum_past_gamma_overflow(self, e0, e1):
+        # Gamma(e0 + e1 + 2) overflows a double here; B(a, b) must not
+        from scipy.special import beta as scipy_beta
+
+        rule = gauss_jacobi_rule(e0, e1, 8)
+        assert np.sum(rule.weights) == pytest.approx(scipy_beta(e0 + 1, e1 + 1), rel=1e-12)
+
     def test_moment_exactness(self):
         # degree 2*order - 1 exactness against analytic Beta moments
         e0, e1, order = -0.4, -0.6, 5

@@ -2,25 +2,38 @@
 
 Every verdict must match and every min_margin must stay within 1e-12 of the
 committed value.  worst_index is not compared: it moves on near ties.
-Regenerate with tests/golden/regenerate.py.
+Regenerate with tests/golden/regenerate.py.  The same run must do the
+resolvent work that tests/golden/workcount.py reports at 5 samples.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
-_SCRIPT = Path(__file__).parent / "golden" / "regenerate.py"
-_spec = importlib.util.spec_from_file_location("golden_regenerate", _SCRIPT)
-golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden)
+from amm import verify
+
+
+def _load(name):
+    path = Path(__file__).parent / "golden" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"golden_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden, workcount = _load("regenerate"), _load("workcount")
 
 MARGIN_TOL = 1e-12
+# solve_stack calls and their sum of K n^3 (7.669e6) at 5 samples
+SOLVE_CALLS, SOLVE_WORK = 1997, 7_669_125
 
 
 def test_default_suite_matches_golden_margins():
     expected = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
     assert expected["samples"] == golden.SAMPLES
-    got = golden.suite_entries()
+    verify._ensemble.cache_clear()  # an ensemble left by another test would skip its draws
+    with workcount.counted_solves() as tally:
+        got = golden.suite_entries()
     assert len(got) == len(expected["checks"])
     drift = []
     for i, (old, new) in enumerate(zip(expected["checks"], got)):
@@ -30,3 +43,4 @@ def test_default_suite_matches_golden_margins():
         if shift > MARGIN_TOL:
             drift.append((i, old["id"], shift))
     assert not drift, f"min_margin moved beyond {MARGIN_TOL}: {drift[:10]}"
+    assert (tally["calls"], tally["work"]) == (SOLVE_CALLS, SOLVE_WORK)

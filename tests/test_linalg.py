@@ -94,6 +94,27 @@ class TestSolve:
             linalg.lu_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
         assert err.value.pivot_index == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_matches_solve_stack(self, n):
+        rng = np.random.default_rng(100 + n)
+        A = rand_complex(rng, n)
+        Ainv = linalg.solve_stack(A[None])[0]
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for B in (rand_complex(rng, n)[:, :3], x):
+            want = Ainv @ B
+            got = linalg.lu_solve(A, B)
+            assert got.shape == B.shape
+            assert linalg.maxabs(got - want) <= 1e-12 * linalg.maxabs(want)
+
+    def test_singular_reports_first_negligible_pivot(self):
+        # column 0 pivots on row 1 (|2i| beats 1) and clears rows 0 and 2 but
+        # for their last entries; column 1 pivots on row 3, which leaves
+        # column 2 with zeros on and below the diagonal
+        A = np.array([[1, 1j, 2, 0], [2j, -2, 4j, 1], [1, 1j, 2, 3], [0, 1, 1j, 1]])
+        with pytest.raises(SingularMatrixError) as err:
+            linalg.lu_solve(A, np.ones(4))
+        assert err.value.pivot_index == 2
+
     def test_accretive_inverse_stays_accretive(self):
         from amm.sector import is_accretive
 
