@@ -119,7 +119,7 @@ def _cmd_gen(args) -> int:
                         count=args.count, seed=args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for index in range(spec.count):
+    for index in range(spec.count):  # one member at a time: memory O(n^2) at any count
         A = sector.random_sectorial(spec, index)
         write_matrix(outdir / f"sample_{index}.json", A)
     return EXIT_OK

@@ -92,33 +92,40 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return haar_from(ginibre(n, rng))
 
 
-def random_sectorial(spec: EnsembleSpec, index: int) -> np.ndarray:
-    """Member ``index`` of the ensemble described by ``spec``.
+def random_sectorial(spec: EnsembleSpec, index) -> np.ndarray:
+    """Member ``index`` of the ensemble described by ``spec``, or the (k, n, n)
+    stack of the members at a sequence of k indices.
 
     Construction: A = P^{1/2} (I + iT) P^{1/2} with P Hermitian of spectrum
     uniform in [m, M] and T Hermitian rescaled to ||T||_op = u tan(alpha_max),
     u uniform in [0, 1].  Then Re A = P exactly (so m I <= Re A <= M I) and
-    the sectorial angle is arctan(||T||_op) <= alpha_max.
+    the sectorial angle is arctan(||T||_op) <= alpha_max.  Each member draws
+    its numbers from its own stream; the algebra then runs once on the stack,
+    matrix by matrix, so a member is the same to the bit alone or stacked.
     """
-    if index < 0 or index >= spec.count:
-        raise ParameterError(f"index {index} outside [0, {spec.count})")
+    indices = [index] if np.ndim(index) == 0 else list(index)
+    if not indices:
+        raise ParameterError("random_sectorial needs at least one index")
+    for i in indices:
+        if i < 0 or i >= spec.count:
+            raise ParameterError(f"index {i} outside [0, {spec.count})")
     # Counter-style seeding: a pure function of (seed, index), so ensemble
     # members are independent of iteration order and safe to parallelize.
     # The middle 0 keeps the draws of every existing ensemble.
-    rng = np.random.default_rng((spec.seed, 0, index))
+    rngs = [np.random.default_rng((spec.seed, 0, i)) for i in indices]
     n = spec.dim
-    p = rng.uniform(spec.m, spec.M, size=n)
-    U = haar_unitary(n, rng)
-    S = hermitian(U @ np.diag(np.sqrt(p)) @ U.conj().T)  # exact Hermitian square root of P
-    P = hermitian(S @ S)
-    if spec.alpha_max == 0.0:
-        return P.astype(np.complex128)
-    T = hermitian(ginibre(n, rng))
-    u = rng.uniform(0.0, 1.0)
-    tnorm = float(np.max(np.abs(np.linalg.eigvalsh(T))))
-    if tnorm > 0.0:
-        T = T * (u * math.tan(spec.alpha_max) / tnorm)
-    return P + 1j * hermitian(S @ T @ S)
+    p = np.array([rng.uniform(spec.m, spec.M, size=n) for rng in rngs])
+    U = haar_from(np.array([ginibre(n, rng) for rng in rngs]))
+    # exact Hermitian square root of P
+    S = hermitian(U @ diag_matrix(np.sqrt(p)) @ U.conj().swapaxes(-1, -2))
+    A = hermitian(S @ S)
+    if spec.alpha_max != 0.0:
+        T = hermitian(np.array([ginibre(n, rng) for rng in rngs]))
+        u = [rng.uniform(0.0, 1.0) for rng in rngs]
+        tnorm = np.abs(np.linalg.eigvalsh(T)).max(axis=-1).tolist()
+        scale = [ui * math.tan(spec.alpha_max) / t if t > 0.0 else 1.0 for ui, t in zip(u, tnorm)]
+        A = A + 1j * hermitian(S @ (T * np.array(scale)[:, None, None]) @ S)
+    return A if np.ndim(index) else A[0]
 
 
 def random_pd(spec: EnsembleSpec, index: int) -> np.ndarray:

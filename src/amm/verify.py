@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -111,19 +111,20 @@ class _Ensemble:
     def __init__(self, spec: EnsembleSpec, indices=None):
         self.seed = spec.seed
         self.indices = list(range(spec.count)) if indices is None else list(indices)
-        wide = replace(spec, count=2 * spec.count)
-        A = np.array([random_sectorial(wide, 2 * i) for i in self.indices])
-        B = np.array([random_sectorial(wide, 2 * i + 1) for i in self.indices])
-        cA, cB = sector.certify(A), sector.certify(B)
+        wide, S = replace(spec, count=2 * spec.count), len(self.indices)
+        # members 2i, then members 2i + 1, drawn and certified as one stack
+        AB = random_sectorial(wide, [2 * i + k for k in (0, 1) for i in self.indices])
+        cert = sector.certify(AB)
+        A, B = AB[:S], AB[S:]
         eye = np.broadcast_to(np.eye(spec.dim, dtype=np.complex128), A.shape)
         self.roles = tuple(read_only(X) for X in (A, B, _H(A), _H(B), eye))
         self.role_of = {id(X): k for k, X in enumerate(self.roles)}  # identity, not bytes
         # m, M and the factors of the larger angle, in _Stack's order; the
         # powers are taken on Python floats (see _each)
-        cosa = [math.cos(a) for a in np.maximum(cA.alpha, cB.alpha).tolist()]
+        cosa = [math.cos(a) for a in np.maximum(cert.alpha[:S], cert.alpha[S:]).tolist()]
         seca = [1.0 / c for c in cosa]
         self.factors = tuple(read_only(np.array(x)) for x in (
-            np.minimum(cA.m, cB.m), np.maximum(cA.M, cB.M), cosa,
+            np.minimum(cert.m[:S], cert.m[S:]), np.maximum(cert.M[:S], cert.M[S:]), cosa,
             [c * c for c in cosa], [s * s for s in seca], [c**3 for c in cosa], [s**3 for s in seca]))
         self.memo: dict = {}
 
@@ -687,7 +688,7 @@ def run_check(
     }
     return CheckReport(
         check=check_id,
-        ensemble=asdict(eff_spec),
+        ensemble={f.name: getattr(eff_spec, f.name) for f in fields(eff_spec)},
         samples=eff_spec.count,
         min_margin=min_margin,
         worst_index=worst,

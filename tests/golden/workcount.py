@@ -5,15 +5,19 @@ Run from the repository root, with the sample count as the optional argument:
     PYTHONPATH=src python tests/golden/workcount.py 5
 
 A refactor meant to do the same LAPACK work as its parent prints the same two
-numbers; unlike a timing, they do not depend on the load of the host.
+numbers; unlike a timing, they do not depend on the load of the host.  It
+also prints the sha256 of the report that ``amm suite --default --samples N
+--report FILE`` writes, so a byte-identical report is one command per side.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 from contextlib import contextmanager
 
-from amm import funcalc, linalg, verify
+from amm import cli, funcalc, linalg, verify
 
 
 @contextmanager
@@ -39,8 +43,11 @@ def counted_solves():
 
 def main(samples: int) -> None:
     with counted_solves() as tally:
-        verify.run_suite(verify.default_suite(samples))
+        reports = verify.run_suite(verify.default_suite(samples))
     print(f"{tally['calls']} solve_stack calls, sum K n^3 = {tally['work']:.3e}")
+    # the bytes cli._cmd_suite writes for --report without --timings
+    text = json.dumps(cli._report_payload(reports, with_timing=False), indent=2) + "\n"
+    print(f"report sha256 {hashlib.sha256(text.encode()).hexdigest()}")
 
 
 if __name__ == "__main__":

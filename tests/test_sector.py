@@ -162,6 +162,53 @@ class TestGenerator:
         np.testing.assert_allclose(random_pd(spec, 0), [[2.0]])
 
 
+def _bits(X):
+    return np.ascontiguousarray(X).view(np.uint64)
+
+
+def _one_matrix_draw(spec, index):
+    """The construction of random_sectorial written out for one matrix (np.diag,
+    .conj().T, a scalar T scale): the reference a stacked draw must match to the bit."""
+    rng = np.random.default_rng((spec.seed, 0, index))
+    n = spec.dim
+    p = rng.uniform(spec.m, spec.M, size=n)
+    U = haar_unitary(n, rng)
+    S = linalg.hermitian(U @ np.diag(np.sqrt(p)) @ U.conj().T)
+    P = linalg.hermitian(S @ S)
+    if spec.alpha_max == 0.0:
+        return P
+    T = linalg.hermitian(sector.ginibre(n, rng))
+    u = rng.uniform(0.0, 1.0)
+    T = T * (u * math.tan(spec.alpha_max) / float(np.max(np.abs(np.linalg.eigvalsh(T)))))
+    return P + 1j * linalg.hermitian(S @ T @ S)
+
+
+class TestStackedDraw:
+    @pytest.mark.parametrize("mM", [(1.0, 2.0), (1e-3, 1e5)])
+    @pytest.mark.parametrize("alpha", [0.0, math.pi / 6, 1.4, 1.55])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 64])
+    def test_stack_is_the_stack_of_single_draws(self, n, alpha, mM):
+        spec = spec_for(n, alpha, count=6, seed=2718 + n, m=mM[0], M=mM[1])
+        single = np.array([random_sectorial(spec, i) for i in range(6)])
+        for i in range(6):
+            assert np.array_equal(_bits(single[i]), _bits(_one_matrix_draw(spec, i)))
+        assert np.array_equal(_bits(random_sectorial(spec, range(6))), _bits(single))
+        subset = [4, 1, 4, 0]  # shuffled, with a repeat
+        assert np.array_equal(_bits(random_sectorial(spec, subset)), _bits(single[subset]))
+        assert np.array_equal(_bits(random_sectorial(spec, [3])), _bits(single[3:4]))
+        assert random_sectorial(spec, 3).shape == (n, n)
+
+    @pytest.mark.parametrize("indices", [[7], [0, 1, 7], [2, -1, 0], [5, 3, 9, 1]])
+    def test_bad_index_anywhere_is_named(self, indices):
+        bad = next(i for i in indices if not 0 <= i < 6)
+        with pytest.raises(ParameterError, match=rf"index {bad} outside \[0, 6\)"):
+            random_sectorial(spec_for(3, math.pi / 6, count=6), indices)
+
+    def test_empty_index_list_is_refused(self):
+        with pytest.raises(ParameterError, match="at least one index"):
+            random_sectorial(spec_for(3, math.pi / 6, count=6), [])
+
+
 class TestConeClosure:
     def test_sum_and_inverse_stay_in_sector(self):
         spec = spec_for(4, math.pi / 4, count=20, seed=161803)

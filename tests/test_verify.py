@@ -5,11 +5,11 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from amm import funcalc, verify
+from amm import funcalc, linalg, sector, verify
 from amm.errors import NumericFailureError, ParameterError
 from amm.funcalc import catalog
 from amm.maps import random_map
-from amm.sector import EnsembleSpec
+from amm.sector import EnsembleSpec, random_sectorial
 from amm.verify import (
     CHECK_IDS,
     REGISTRY,
@@ -214,6 +214,31 @@ class TestStackEquivalence:
         assert {item.check for item in _SMALL_CATALOG} == set(CHECK_IDS)
         assert len({item.check for item in _SMALL_CATALOG
                     if item.spec.alpha_max > 0}) == len(SECTORIAL_IDS)
+
+
+class TestEnsembleDraw:
+    @pytest.mark.parametrize("count", [5, 64])
+    def test_one_stacked_draw_matches_per_index_draws(self, count):
+        # members 2i and 2i + 1 of every sample come from one draw and one
+        # certify; the roles and factors are those of per-index draws and
+        # one certify per role, to the bit
+        spec = small_spec(dim=5, alpha=math.pi / 3, count=count, seed=99)
+        wide = replace(spec, count=2 * count)
+        A = np.array([random_sectorial(wide, 2 * i) for i in range(count)])
+        B = np.array([random_sectorial(wide, 2 * i + 1) for i in range(count)])
+        cA, cB = sector.certify(A), sector.certify(B)
+        cosa = [math.cos(a) for a in np.maximum(cA.alpha, cB.alpha).tolist()]
+        sec = [1.0 / c for c in cosa]
+        factors = (np.minimum(cA.m, cB.m), np.maximum(cA.M, cB.M), cosa, [c * c for c in cosa],
+                   [s * s for s in sec], [c**3 for c in cosa], [s**3 for s in sec])
+        roles = (A, B, linalg.hermitian(A), linalg.hermitian(B),
+                 np.broadcast_to(np.eye(5, dtype=complex), A.shape))
+        ens = verify._Ensemble(spec)
+        for got, want in zip(ens.roles + ens.factors, roles + factors, strict=True):
+            want = np.asarray(want)
+            assert got.shape == want.shape
+            assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
 
 
 class TestStackMemory:
