@@ -39,11 +39,18 @@ EXIT_SUITE_FAILED = 5
 REPORT_SCHEMA = "amm-suite-report/1"
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer field: a float or a boolean is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def read_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        n = int(data["n"])
+        n = _integer(data["n"], "n")
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -135,12 +142,12 @@ def _item_from_config(entry: dict, position: int) -> verify.SuiteItem:
     f = g = phi = norm = None
     try:
         spec = EnsembleSpec(
-            dim=int(entry["dim"]),
+            dim=_integer(entry["dim"], "dim"),
             alpha_max=float(entry.get("alpha_max", 0.0)),
             m=float(entry.get("m", 1.0)),
             M=float(entry.get("M", 2.0)),
-            count=int(entry.get("count", 200)),
-            seed=int(entry.get("seed", verify.DEFAULT_SEED)),
+            count=_integer(entry.get("count", 200), "count"),
+            seed=_integer(entry.get("seed", verify.DEFAULT_SEED), "seed"),
         )
         if entry.get("function"):
             f = _build_function(entry["function"]["name"], entry["function"].get("param"))
@@ -148,12 +155,12 @@ def _item_from_config(entry: dict, position: int) -> verify.SuiteItem:
             g = _build_function(entry["function_g"]["name"], entry["function_g"].get("param"))
         if entry.get("map"):
             mp = entry["map"]
+            flat = mp["variant"] in ("vector_state", "normalized_trace")
             phi = random_map(
-                int(mp.get("dim_in", spec.dim)),
-                int(mp.get("dim_out", 1 if mp["variant"] in ("vector_state", "normalized_trace")
-                    else spec.dim)),
+                _integer(mp.get("dim_in", spec.dim), "map dim_in"),
+                _integer(mp.get("dim_out", 1 if flat else spec.dim), "map dim_out"),
                 mp["variant"],
-                int(mp.get("seed", spec.seed)),
+                _integer(mp.get("seed", spec.seed), "map seed"),
             )
         if entry.get("norm"):
             norm = NormKind.parse(entry["norm"])

@@ -107,6 +107,8 @@ def random_sectorial(spec: EnsembleSpec, index) -> np.ndarray:
     if not indices:
         raise ParameterError("random_sectorial needs at least one index")
     for i in indices:
+        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+            raise ParameterError(f"index {i!r} is not an integer")
         if i < 0 or i >= spec.count:
             raise ParameterError(f"index {i} outside [0, {spec.count})")
     # Counter-style seeding: a pure function of (seed, index), so ensemble

@@ -104,8 +104,9 @@ class _Ensemble:
     operand pairs as read-only (S, n, n) stacks A, B, Re A, Re B and I (the
     roles), each pair's certified m and M and the cos/sec factors of its
     angle as read-only arrays over the samples, computed once for every
-    check of the ensemble, and a memo of the shared kernel's values on pairs
-    of roles.  Sample i is the same pair in any subset: its draws depend on
+    check of the ensemble, and a memo of whole stacks: the shared kernel's
+    value on two roles at one measure, read-only, under (role, role,
+    measure).  Sample i is the same pair in any subset: its draws depend on
     (spec.seed, i) only."""
 
     def __init__(self, spec: EnsembleSpec, indices=None):
@@ -159,43 +160,19 @@ class _Stack:
 
     # Means and f(A) straight on the shared kernel: every operand here is
     # accretive by construction, so the public functions' checks are skipped.
-    # A value on two of the ensemble's roles is computed once per sample and
-    # kept, read-only, in its memo; any other operand goes to the kernel every
-    # time.  A measure is one for all samples or one per sample (a weight t
-    # drawn per sample); the samples the memo lacks go to the kernel in one
-    # stack either way.
+    # Only whole stacks are memoized: a mean on two of the ensemble's roles at
+    # one measure is computed once over all samples and kept, read-only, in
+    # the ensemble's memo.  Anything else, an operand that is not a role or
+    # one measure per sample (a weight t drawn per sample), goes to the kernel
+    # as one stack every time and is not kept.
     def _kernel(self, X, Y, measure) -> np.ndarray:
         e = self._ens
-        i, j = e.role_of.get(id(X)), e.role_of.get(id(Y))
-        if i is None or j is None:
+        key = (e.role_of.get(id(X)), e.role_of.get(id(Y)), measure)
+        if None in key[:2] or not isinstance(measure, MeasureSpec):
             return funcalc._sigma(X, Y, measure)[0]
-        single = isinstance(measure, MeasureSpec)
-        by_measure = [(measure, np.arange(len(X)))] if single else funcalc._groups(measure)
-        entries = [self._memo_entry(i, j, m, X.shape) for m, _ in by_measure]
-        lacking = [rows[~have[rows]] for (_, have, _), (_, rows) in zip(entries, by_measure)]
-        need = np.concatenate(lacking)
-        if need.size:
-            V = funcalc._sigma(X[need], Y[need],
-                               measure if single else [measure[k] for k in need.tolist()])[0]
-            for (values, have, _), rows in zip(entries, lacking):
-                values[rows], have[rows] = V[:len(rows)], True
-                V = V[len(rows):]
-        if single:
-            return entries[0][2]
-        out = np.empty(X.shape, dtype=np.complex128)
-        for (values, _, _), (_, rows) in zip(entries, by_measure):
-            out[rows] = values[rows]
-        return out
-
-    def _memo_entry(self, i, j, measure, shape) -> tuple:
-        """(values, which samples have one, read-only view) for roles i, j and the measure."""
-        memo = self._ens.memo
-        entry = memo.get((i, j, measure))
-        if entry is None:
-            values = np.empty(shape, dtype=np.complex128)
-            entry = memo[i, j, measure] = (values, np.zeros(shape[0], dtype=bool),
-                                           read_only(values.view()))
-        return entry
+        if key not in e.memo:
+            e.memo[key] = read_only(funcalc._sigma(X, Y, measure)[0])
+        return e.memo[key]
 
     def sigma(self, X, Y, fn=None):
         return self._kernel(X, Y, (fn or self.f).measure)

@@ -64,6 +64,15 @@ class TestMatrixIO:
         with pytest.raises(InvalidInputError):
             read_matrix(p)
 
+    @pytest.mark.parametrize("n, size", [("2.9", 2), ("2.0", 2), ("true", 1), ('"2"', 2)])
+    def test_non_integer_n_exit_2(self, tmp_path, capsys, n, size):
+        # the arrays fit the truncated n: "n": 2.9 was read as 2 and "n": true as 1
+        eye = json.dumps(np.eye(size).tolist())
+        p = tmp_path / "m.json"
+        p.write_text(f'{{"n": {n}, "re": {eye}, "im": {eye}}}')
+        assert main(["angle", "--a", str(p)]) == 2
+        assert "n must be an integer" in capsys.readouterr().err
+
 
 class TestCompute:
     def test_geometric(self, matrices, tmp_path):
@@ -364,6 +373,23 @@ class TestSuite:
         code = main(["suite", "--config", cfg, "--report", str(tmp_path / "r.json")])
         assert code == 2
         assert "config entry 0 (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, name", [
+        ({"dim": 2.9}, "dim"),
+        ({"dim": True}, "dim"),
+        ({"count": 2.0}, "count"),
+        ({"seed": 1.5}, "seed"),
+        ({"map": {"variant": "pinching", "dim_in": 2.0}}, "map dim_in"),
+        ({"map": {"variant": "pinching", "dim_out": True}}, "map dim_out"),
+        ({"map": {"variant": "pinching", "seed": 4.5}}, "map seed"),
+    ], ids=["dim-float", "dim-bool", "count", "seed", "dim_in", "dim_out", "map-seed"])
+    def test_non_integer_field_names_it(self, tmp_path, capsys, field, name):
+        # a float or a boolean is refused, not truncated to an integer
+        cfg = suite_config(tmp_path, [{"id": "choi_sector", "dim": 2, "count": 2, "seed": 1,
+                                       "function": {"name": "power", "param": 0.5}, **field}])
+        code = main(["suite", "--config", cfg, "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"{name} must be an integer" in capsys.readouterr().err
 
 
 class TestMalformedFiles:

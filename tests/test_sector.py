@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,19 @@ class TestStackedDraw:
         bad = next(i for i in indices if not 0 <= i < 6)
         with pytest.raises(ParameterError, match=rf"index {bad} outside \[0, 6\)"):
             random_sectorial(spec_for(3, math.pi / 6, count=6), indices)
+
+    @pytest.mark.parametrize("indices, bad", [(1.5, "1.5"), ([1, 2.0], "2.0"),
+                                              (np.float64(3.0), "np.float64(3.0)"),
+                                              ([0, True], "True"), ("1", "'1'")])
+    def test_non_integer_index_is_named(self, indices, bad):
+        with pytest.raises(ParameterError, match=rf"index {re.escape(bad)} is not an integer"):
+            random_sectorial(spec_for(3, math.pi / 6, count=6), indices)
+
+    def test_numpy_integer_indices_draw(self):
+        spec = spec_for(3, math.pi / 6, count=6)
+        single = random_sectorial(spec, [1, 4])
+        assert np.array_equal(_bits(random_sectorial(spec, np.array([1, 4]))), _bits(single))
+        assert np.array_equal(_bits(random_sectorial(spec, np.int32(4))), _bits(single[1]))
 
     def test_empty_index_list_is_refused(self):
         with pytest.raises(ParameterError, match="at least one index"):

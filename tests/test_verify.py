@@ -342,9 +342,9 @@ class TestRunSuite:
         assert density_integrals(["real_sector_reverse"]) == (2, 2 * spec.count)
 
     def test_per_sample_weights_fill_the_memo(self, monkeypatch):
-        # a weight drawn per sample goes to the kernel as one stack with one
-        # measure per sample, and fills the memo sample by sample: a later
-        # call that needs the same mean of the same sample finds it there
+        # only whole stacks are memoized: a weight drawn per sample goes to
+        # the kernel as one stack with one measure per sample every time it
+        # is asked for, while one weight for all samples is computed once
         calls = []
         real_sigma = funcalc._sigma
 
@@ -360,13 +360,17 @@ class TestRunSuite:
         assert len(set(t.tolist())) > 1
         G = c.sharp(c.A, c.B, t)
         assert calls == [8]
-        assert np.array_equal(c.sharp(c.A, c.B, t), G) and calls == [8]
-        # one weight for all samples computes only the samples drawn another
-        same = t == t[0]
+        again = c.sharp(c.A, c.B, t)
+        assert calls == [8, 8] and np.array_equal(again, G)
+        assert again.flags.writeable
+        assert all(again is not V for V in c._ens.memo.values())
+        # one weight for all samples is memoized, read-only, whole
         full = c.sharp(c.A, c.B, t[0])
-        assert calls == [8, np.count_nonzero(~same)]
+        assert calls == [8, 8, 8] and not full.flags.writeable
+        assert c.sharp(c.A, c.B, t[0]) is full and calls == [8, 8, 8]
+        same = t == t[0]
         assert np.array_equal(full[same], G[same])
-        for k in np.flatnonzero(~same):
+        for k in range(len(t)):
             alone = funcalc._sigma(c.A[k], c.B[k], catalog("power", float(t[k])).measure)[0]
             assert np.array_equal(G[k], alone)
 
