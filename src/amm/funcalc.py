@@ -29,6 +29,7 @@ from __future__ import annotations
 
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -52,8 +53,31 @@ _START_ORDER = 8
 _MAX_ORDER = 512
 _DRIFT_TOL = 1e-8
 # complex entries of one resolvent stack of _integrate or dunford_apply
-# (8 MiB); a chunk holds at least one sample or one contour node
-_STACK_ENTRIES = 2**19
+# (1 MiB); a chunk holds whole samples while one fits, and else part of one
+# sample's nodes, so only a single n x n matrix can exceed it
+_STACK_ENTRIES = 2**16
+_batches = threading.local()
+
+
+def _batch_buffer(shape) -> np.ndarray:
+    """An uninitialised complex array of the given shape in this thread's batch buffer.
+
+    The pencils of _integrate and the chunks of dunford_apply are built
+    here, so every batch reuses the same pages.  Freed instead, they would
+    go back to the kernel and fault in again for the next batch: glibc trims
+    its heap once twice its largest freed block is free, which 1 MiB batches
+    reach.  The buffer grows to the largest batch so far, and a shape of
+    more than _STACK_ENTRIES entries (one matrix past the budget) gets an
+    array of its own.  The buffer is per thread, so threads never share a
+    pencil.
+    """
+    size = math.prod(shape)
+    if size > _STACK_ENTRIES:
+        return np.empty(shape, dtype=np.complex128)
+    buf = getattr(_batches, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _batches.buf = np.empty(size, dtype=np.complex128)
+    return buf[:size].reshape(shape)
 
 
 def _drift(X: np.ndarray, X2: np.ndarray):
@@ -185,13 +209,18 @@ def _cached_rule(exp0: float, exp1: float, order: int) -> QuadratureRule:
     # double its own rounding moves the moments by up to 2e-14 at order 512.
     J = np.diag(diag[:order]) + np.diag(off[:order - 1], -1)
     x = np.linalg.eigvalsh(J).astype(np.longdouble)
-    zero = np.zeros(order, dtype=np.longdouble)
-    p_prev, p, dp_prev, dp, total, dtotal = zero, zero + 1.0, zero, zero, zero, zero
+    # y = (p_j, p_j') at every node, and sums = (sum p_k^2, sum p_k p_k') up
+    # to the current j; the derivative of sum p_k^2 is twice the second sum
+    y_prev, y, sums = np.zeros((3, 2, order), dtype=np.longdouble)
+    y[0] = 1.0
     for j in range(order):
-        total, dtotal = total + p * p, dtotal + 2.0 * p * dp
-        u, prev = x - diag[j], off[j - 1] if j else 0.0
-        p_prev, p, dp_prev, dp = (p, (u * p - prev * p_prev) / off[j],
-                                  dp, (p + u * dp - prev * dp_prev) / off[j])
+        sums += y[0] * y
+        y_next = (x - diag[j]) * y
+        y_next[1] += y[0]
+        if j:
+            y_next -= off[j - 1] * y_prev
+        y_prev, y = y, y_next / off[j]
+    (p, dp), (total, dtotal) = y, (sums[0], 2.0 * sums[1])
     step = p / dp
     nodes = ((x + 1.0 - step) / 2.0).astype(float)
     weights = (_beta(exp0 + 1.0, exp1 + 1.0) / (total - dtotal * step)).astype(float)
@@ -451,10 +480,13 @@ def _integrate(P, Q, measure, plan=None, ends=None):
     the order is the doubling's (see _converged); a route that must run at
     the nodes of another passes that route's plan, which is used as is.
     The resolvents at the density nodes of every order _converged asks for,
-    for the samples it names by index, go to solve_stack in one batch per
-    chunk of samples, a chunk holding at most _STACK_ENTRIES complex entries
-    or one sample.  The plan is read off the per-sample arrays of scales
-    and of _converged's orders.  ends = (P^{-1},
+    for the samples it names by index, go to solve_stack in batches of at
+    most _STACK_ENTRIES complex entries (or one matrix): a batch holds as
+    many whole samples as fit, and a sample whose nodes alone do not fit is
+    split by node, each part's weighted sum added to its orders' values.
+    So memory is O(_STACK_ENTRIES + samples n^2) at any order and n, and a
+    split by sample only keeps every bit.  The plan is read off the
+    per-sample arrays of scales and of _converged's orders.  ends = (P^{-1},
     Q^{-1}), when given, are the exact values of atoms at t = 0 and t = 1.
     Summation order is fixed: atoms in declaration order, then nodes by
     index.  Pure-atom measures are exact: they are evaluated once,
@@ -498,22 +530,39 @@ def _integrate(P, Q, measure, plan=None, ends=None):
         shared = all(t is tables[0] for t in tables)
         u, W = tables[0] if shared else (np.concatenate([t[0] for t in tables]),
                                          [np.concatenate(w) for w in zip(*(t[1] for t in tables))])
-        bounds = [0, *accumulate(orders)]
+        bounds, K = [0, *accumulate(orders)], u.shape[1]
         values = [np.empty((len(rows), n, n), dtype=np.complex128) for _ in orders]
-        step = max(1, _STACK_ENTRIES // (u.shape[1] * n * n))
+        # samples per batch, and nodes per batch: all K unless one sample overflows
+        step = max(1, _STACK_ENTRIES // (K * n * n))
+        width = min(K, max(1, _STACK_ENTRIES // (n * n)))
         for lo in range(0, len(rows), step):
             part = slice(lo, lo + step)
             own, r = slice(None) if shared else part, rows[part]
-            # stack: the pencil, then its resolvents, one name so that the
-            # last chunk's are freed before this one's are made.  u/c Q =
-            # u (Q/c) to the bit: c is a power of two.  The coefficients are
-            # made complex first, as the product would cast them anyway, so
-            # the products take numpy's complex loop without a buffered cast.
-            stack = (1.0 - u[own]).astype(np.complex128)[:, :, None, None] * P[r, None]
-            stack += (u[own] / c[part, None]).astype(np.complex128)[:, :, None, None] * Q[r, None]
-            stack = solve_stack(stack.reshape(-1, n, n)).reshape(stack.shape)
-            for X, w, k0, k1 in zip(values, W, bounds, bounds[1:]):
-                X[part] = np.einsum("...k,...kij->...ij", w[own], stack[:, k0:k1])
+            for a in range(0, K, width):
+                ui = u[own, a:a + width]
+                # stack: the pencil, built in the batch buffer, then its
+                # resolvents, deleted after use: besides the buffer, one
+                # batch-sized array (the second product, then the
+                # resolvents) is live at a time.  u/c Q = u (Q/c) to the
+                # bit: c is a power of two.  The coefficients are made
+                # complex first, as the product would cast them anyway, so
+                # the products take numpy's complex loop without a buffered
+                # cast.
+                stack = _batch_buffer((len(r), ui.shape[1], n, n))
+                np.multiply((1.0 - ui).astype(np.complex128)[:, :, None, None], P[r, None], out=stack)
+                stack += (ui / c[part, None]).astype(np.complex128)[:, :, None, None] * Q[r, None]
+                stack = solve_stack(stack.reshape(-1, n, n)).reshape(stack.shape)
+                # each order's nodes [b0, b1) that fall in this batch's [a, a + width)
+                for X, w, b0, b1 in zip(values, W, bounds, bounds[1:]):
+                    k0, k1 = max(b0, a), min(b1, a + width)
+                    if k0 < k1:
+                        term = np.einsum("...k,...kij->...ij", w[own, k0 - b0:k1 - b0],
+                                         stack[:, k0 - a:k1 - a])
+                        if k0 == b0:
+                            X[part] = term
+                        else:
+                            X[part] += term
+                del stack
         return values if total is None else [total[rows] + X for X in values]
 
     X, orders = _converged(compute, order)
@@ -611,8 +660,9 @@ def dunford_apply(f: MonotoneFunction, A, contour: DunfordContour) -> np.ndarray
     analytic in theta, so the trapezoid rule converges geometrically; the
     independent cross-check against apply_function.  The resolvents go
     through solve_stack in chunks of at most _STACK_ENTRIES complex entries,
-    as those of _integrate do (128 nodes at n = 64), so memory stays bounded
-    whatever the node count.
+    as those of _integrate do (16 nodes at n = 64), each chunk built in
+    place in the batch buffer, so memory stays bounded whatever the node
+    count.
     """
     A = require_accretive(as_matrix(A))
     if contour.nodes < 16:
@@ -629,8 +679,10 @@ def dunford_apply(f: MonotoneFunction, A, contour: DunfordContour) -> np.ndarray
     F = np.zeros((n, n), dtype=np.complex128)
     eye, step = np.eye(n), max(1, _STACK_ENTRIES // (n * n))
     for k in range(0, N, step):
-        resolvents = solve_stack(z[k:k + step, None, None] * eye - A)
-        F += np.tensordot(weights[k:k + step], resolvents, 1)
+        zk = z[k:k + step]
+        stack = np.multiply.outer(zk, eye, out=_batch_buffer((len(zk), n, n)))
+        stack -= A
+        F += np.tensordot(weights[k:k + step], solve_stack(stack), 1)
     return F
 
 

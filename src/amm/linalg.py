@@ -244,22 +244,29 @@ def loewner_leq(X, Y) -> LoewnerVerdict:
     return LoewnerVerdict(margin=margin, holds=margin >= -TAU_LOEWNER)
 
 
-def is_accretive(A):
+def is_accretive(A, lowest=None):
     """Whether Re A is positive definite, with a normalized margin.
 
     margin = lambda_min(Re A) / (1 + ||A||_op); accretive iff the margin
     exceeds the Loewner slack (strict positivity).  For a stack both are
     arrays of its leading shape.  The package's one accretivity predicate.
+    lowest, when given, is lambda_min(Re A) from the caller's own
+    eigensolve of Re A, taken instead of a second one.
     """
     A = as_stack(A)
-    margin = np.linalg.eigvalsh(hermitian(A))[..., 0] / (1.0 + opnorm(A))
+    if lowest is None:
+        lowest = np.linalg.eigvalsh(hermitian(A))[..., 0]
+    margin = lowest / (1.0 + opnorm(A))
     return margin > TAU_LOEWNER, margin
 
 
-def require_accretive(A, name: str = "matrix") -> np.ndarray:
-    """A as a complex matrix or stack; PreconditionError naming ``name`` unless all accretive."""
+def require_accretive(A, name: str = "matrix", lowest=None) -> np.ndarray:
+    """A as a complex matrix or stack; PreconditionError naming ``name`` unless all accretive.
+
+    lowest is passed to is_accretive.
+    """
     A = as_stack(A)
-    ok, margin = is_accretive(A)
+    ok, margin = is_accretive(A, lowest)
     if not ok.all():
         raise PreconditionError(f"{name} is not accretive (margin {np.min(margin):.3e})")
     return A

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import diag_matrix, hermitian, imaginary_part, require_accretive
+from .linalg import as_stack, diag_matrix, hermitian, imaginary_part, require_accretive
 from .linalg import is_accretive  # noqa: F401
 
 
@@ -56,14 +56,17 @@ class EnsembleSpec:
 def certify(A) -> SectorCertificate:
     """Full (alpha, m, M) certificate for an accretive matrix, or for each matrix of a stack.
 
-    One eigendecomposition of Re A gives both: its extreme values are m and
-    M, and its vectors form (Re A)^{-1/2}.  alpha is arctan of the largest
-    |eigenvalue| of (Re A)^{-1/2} (Im A) (Re A)^{-1/2}, which is exactly the
-    smallest alpha with tan(alpha) Re A +- Im A >= 0.  For a stack the
-    fields are arrays of its leading shape, each entry the matrix's own.
+    One eigendecomposition of Re A gives all three and the accretivity
+    test: its smallest value is that test's lambda_min, its extreme values
+    are m and M, and its vectors form (Re A)^{-1/2}.  alpha is arctan of the
+    largest |eigenvalue| of (Re A)^{-1/2} (Im A) (Re A)^{-1/2}, which is
+    exactly the smallest alpha with tan(alpha) Re A +- Im A >= 0.  For a
+    stack the fields are arrays of its leading shape, each entry the
+    matrix's own.
     """
-    A = require_accretive(A)
+    A = as_stack(A)
     vals, vecs = np.linalg.eigh(hermitian(A))
+    require_accretive(A, lowest=vals[..., 0])
     W = vecs @ diag_matrix(vals**-0.5) @ vecs.conj().swapaxes(-1, -2)
     rho = np.abs(np.linalg.eigvalsh(hermitian(W @ imaginary_part(A) @ W))).max(axis=-1)
     alpha = np.array([math.atan(r) for r in np.ravel(rho).tolist()]).reshape(rho.shape)

@@ -1,13 +1,16 @@
-"""Count the resolvent work of the default suite: solve_stack calls and their sum of K n^3.
+"""Count the resolvent work of the default suite: solve_stack calls, their sum of K n^3
+and the largest batch.
 
 Run from the repository root, with the sample count as the optional argument:
 
     PYTHONPATH=src python tests/golden/workcount.py 5
 
 A refactor meant to do the same LAPACK work as its parent prints the same two
-numbers; unlike a timing, they do not depend on the load of the host.  It
-also prints the sha256 of the report that ``amm suite --default --samples N
---report FILE`` writes, so a byte-identical report is one command per side.
+numbers; unlike a timing, they do not depend on the load of the host.  The
+largest batch, in complex entries K n^2 of one (K, n, n) stack, shows a
+change of batching in the same way.  It also prints the sha256 of the
+report that ``amm suite --default --samples N --report FILE`` writes, so a
+byte-identical report is one command per side.
 """
 
 from __future__ import annotations
@@ -22,15 +25,17 @@ from amm import cli, funcalc, linalg, verify
 
 @contextmanager
 def counted_solves():
-    """Count, inside the block, the solve_stack calls of funcalc and verify and their sum of K n^3.
+    """Count, inside the block, the solve_stack calls of funcalc and verify, their sum of K n^3
+    and their largest K n^2.
 
-    Yields a dict whose "calls" and "work" grow as the block runs.
+    Yields a dict whose "calls", "work" and "largest" grow as the block runs.
     """
-    tally = {"calls": 0, "work": 0}
+    tally = {"calls": 0, "work": 0, "largest": 0}
 
     def counting(stack):
         tally["calls"] += 1
         tally["work"] += stack.shape[0] * stack.shape[-1] ** 3
+        tally["largest"] = max(tally["largest"], stack.size)
         return linalg.solve_stack(stack)
 
     saved = funcalc.solve_stack, verify.solve_stack
@@ -44,7 +49,8 @@ def counted_solves():
 def main(samples: int) -> None:
     with counted_solves() as tally:
         reports = verify.run_suite(verify.default_suite(samples))
-    print(f"{tally['calls']} solve_stack calls, sum K n^3 = {tally['work']:.3e}")
+    print(f"{tally['calls']} solve_stack calls, sum K n^3 = {tally['work']:.3e}, "
+          f"largest batch {tally['largest']} entries")
     # the bytes cli._cmd_suite writes for --report without --timings
     text = json.dumps(cli._report_payload(reports, with_timing=False), indent=2) + "\n"
     print(f"report sha256 {hashlib.sha256(text.encode()).hexdigest()}")

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -232,7 +233,8 @@ class TestDunford:
             assert maxabs(F - np.eye(2)) <= 1e-12, str(f)
 
     def test_chunked_memory_bounded(self):
-        # 16384 nodes at n = 64 would be a 1 GB stack of resolvents in one piece
+        # 2048 nodes at n = 64 would be a 128 MiB stack of resolvents in one
+        # piece, and chunks of 128 nodes (8 MiB) peak past the bound too
         spec = EnsembleSpec(dim=64, alpha_max=math.pi / 3, m=1.0, M=2.0, count=1, seed=5)
         A = random_sectorial(spec, 0)
         f = catalog("power", 0.5)
@@ -240,11 +242,11 @@ class TestDunford:
         want = dunford_apply(f, A, contour)
         tracemalloc.start()
         try:
-            got = dunford_apply(f, A, dataclasses.replace(contour, nodes=16384))
+            got = dunford_apply(f, A, dataclasses.replace(contour, nodes=2048))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 8 * 2**20
         assert maxabs(got - want) <= 1e-10 * (1.0 + maxabs(want))
 
     def test_affine_exact(self):
@@ -389,6 +391,51 @@ class TestAdaptiveOrder:
         with pytest.raises(NumericFailureError, match="not converged at order 256"):
             funcalc._integrate(P, Q, measure)
         assert batches == [2, 8 + 16, 32, 64, 128, 256, 512]
+
+    def test_node_split_memory_bounded(self, monkeypatch):
+        # one n = 64 sample at order 512 is a 32 MiB stack of resolvents in
+        # one piece; its nodes go to solve_stack 16 at a time (1 MiB), and
+        # the sum matches the one-piece value
+        spec = EnsembleSpec(dim=64, alpha_max=math.pi / 3, m=1.0, M=2.0, count=2, seed=5)
+        P, Q = random_sectorial(spec, [0, 1])
+        measure = catalog("power", 0.5).measure
+        batches = []
+
+        def counting(stack):
+            batches.append(len(stack))
+            return solve_stack(stack)
+
+        monkeypatch.setattr(funcalc, "solve_stack", counting)
+        tracemalloc.start()
+        try:
+            got, plan = funcalc._integrate(P, Q, measure, (512, 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan == (512, 1.0)
+        assert peak < 8 * 2**20
+        assert batches == [16] * 32
+        monkeypatch.setattr(funcalc, "_STACK_ENTRIES", 512 * 64 * 64)
+        want, _ = funcalc._integrate(P, Q, measure, (512, 1.0))
+        assert batches[32:] == [512]
+        assert maxabs(got - want) <= 1e-14 * maxabs(want)
+
+    def test_threads_keep_their_own_batches(self):
+        # each thread builds its pencils in a batch buffer of its own, so two
+        # n = 64 pencils integrated at once, 4 batches each, get the values
+        # they get alone
+        spec = EnsembleSpec(dim=64, alpha_max=math.pi / 3, m=1.0, M=2.0, count=4, seed=5)
+        pencils = [random_sectorial(spec, [2 * k, 2 * k + 1]) for k in range(2)]
+        measure = catalog("power", 0.5).measure
+
+        def integrate(pencil):
+            return funcalc._integrate(*pencil, measure, (64, 1.0))[0]
+
+        alone = [integrate(pencil) for pencil in pencils]
+        with ThreadPoolExecutor(2) as pool:
+            for _ in range(4):
+                for got, want in zip(pool.map(integrate, pencils), alone):
+                    assert np.array_equal(got, want)
 
     def test_stack_of_mixed_plans_matches_each_sample(self, monkeypatch):
         # three samples with their own measure and scale: one settles at

@@ -246,7 +246,7 @@ class TestStackMemory:
         # n = 32, 64 samples: the resolvents of the first doubling step are
         # 64 x 24 matrices, a 25 MB stack in one piece and 56 MB at peak; the
         # sample axis is split so that no stack holds more than
-        # funcalc._STACK_ENTRIES complex entries (8 MiB), and the peak is 24 MB
+        # funcalc._STACK_ENTRIES complex entries (1 MiB), and the peak is 10 MiB
         spec = small_spec(dim=32, alpha=math.pi / 3, count=64, seed=7)
         verify._ensemble.cache_clear()
         verify._ensemble(spec)  # operands drawn outside the measurement
