@@ -22,7 +22,10 @@ that must share another's nodes is given that plan.  A Dunford contour
 integral provides an independent second route to f(A); its contour is an
 ellipse in the log plane w = log z fitted to the certified sector of A, with
 a node count fixed in advance (see choose_contour).  Agreement of the two is
-the module's central cross-check.
+the module's central cross-check.  Both are weighted sums of resolvents
+(a P + b Q)^{-1} of one pencil, at the atoms and nodes of the measure and at
+the contour nodes, and one kernel, _resolvent_sums, builds, batches and sums
+all of them.
 """
 
 from __future__ import annotations
@@ -52,9 +55,9 @@ from .sector import certify
 _START_ORDER = 8
 _MAX_ORDER = 512
 _DRIFT_TOL = 1e-8
-# complex entries of one resolvent stack of _integrate or dunford_apply
-# (1 MiB); a chunk holds whole samples while one fits, and else part of one
-# sample's nodes, so only a single n x n matrix can exceed it
+# complex entries of one resolvent batch of _resolvent_sums (1 MiB); a batch
+# holds whole samples while one fits, and else part of one sample's nodes, so
+# only a single n x n matrix can exceed it
 _STACK_ENTRIES = 2**16
 _batches = threading.local()
 
@@ -62,14 +65,13 @@ _batches = threading.local()
 def _batch_buffer(shape) -> np.ndarray:
     """An uninitialised complex array of the given shape in this thread's batch buffer.
 
-    The pencils of _integrate and the chunks of dunford_apply are built
-    here, so every batch reuses the same pages.  Freed instead, they would
-    go back to the kernel and fault in again for the next batch: glibc trims
-    its heap once twice its largest freed block is free, which 1 MiB batches
-    reach.  The buffer grows to the largest batch so far, and a shape of
-    more than _STACK_ENTRIES entries (one matrix past the budget) gets an
-    array of its own.  The buffer is per thread, so threads never share a
-    pencil.
+    The pencils of _resolvent_sums are built here, so every batch reuses
+    the same pages.  Freed instead, they would go back to the kernel and
+    fault in again for the next batch: glibc trims its heap once twice its
+    largest freed block is free, which 1 MiB batches reach.  The buffer
+    grows to the largest batch so far, and a shape of more than
+    _STACK_ENTRIES entries (one matrix past the budget) gets an array of its
+    own.  The buffer is per thread, so threads never share a pencil.
     """
     size = math.prod(shape)
     if size > _STACK_ENTRIES:
@@ -145,22 +147,27 @@ class MeasureSpec:
     density: DensitySpec | None = None
 
 
+def _integer(value, name: str):
+    """value, refused with ParameterError unless an integer: a float or a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _validate_measure(measure: MeasureSpec):
     seen = set()
     for t, w in measure.atoms:
         if not 0.0 <= t <= 1.0:
             raise ParameterError(f"atom position {t} outside [0, 1]")
-        if w <= 0.0:
-            raise ParameterError(f"atom weight {w} must be positive")
+        if not 0.0 < w < math.inf:
+            raise ParameterError(f"atom weight {w} must be positive and finite")
         if t in seen:
             raise ParameterError(f"duplicate atom position {t}")
         seen.add(t)
+    # a density's exponents are checked by gauss_jacobi_rule, which _moment calls on them
     d = measure.density
-    if d is not None:
-        if d.coeff <= 0.0:
-            raise ParameterError("density coefficient must be positive")
-        if d.exp0 <= -1.0 or d.exp1 <= -1.0:
-            raise ParameterError("density exponents must exceed -1")
+    if d is not None and not 0.0 < d.coeff < math.inf:
+        raise ParameterError(f"density coefficient {d.coeff} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -229,9 +236,9 @@ def _cached_rule(exp0: float, exp1: float, order: int) -> QuadratureRule:
 
 def gauss_jacobi_rule(exp0: float, exp1: float, order: int) -> QuadratureRule:
     """Nodes interior to (0, 1), positive weights, degree 2*order - 1 exact."""
-    if exp0 <= -1.0 or exp1 <= -1.0:
-        raise ParameterError(f"exponents must exceed -1, got ({exp0}, {exp1})")
-    if not 2 <= order <= _MAX_ORDER:
+    if not (-1.0 < exp0 < math.inf and -1.0 < exp1 < math.inf):
+        raise ParameterError(f"exponents must be finite and exceed -1, got ({exp0}, {exp1})")
+    if not 2 <= _integer(order, "order") <= _MAX_ORDER:
         raise ParameterError(f"order must be in [2, {_MAX_ORDER}], got {order}")
     return _cached_rule(float(exp0), float(exp1), int(order))
 
@@ -379,23 +386,15 @@ def standard_catalog() -> tuple[MonotoneFunction, ...]:
     )
 
 
-def _groups(keys: list) -> list:
-    """(key, rows) for each distinct key of a per-sample list, in order of first appearance."""
-    rows: dict = {}
-    for k, key in enumerate(keys):
-        rows.setdefault(key, []).append(k)
-    return [(key, np.array(r)) for key, r in rows.items()]
+def _balance(densities, pencil, inverses):
+    """The scale c of _integrate for each sample of pencil = (P, Q): a power of two, or 1.
 
-
-def _balance(d, pencil, inverses):
-    """The scale c of _integrate for density d on pencil = (P, Q): a power of two, or 1.
-
-    inverses = (P^{-1}, Q^{-1}).  P and Q may be stacks, and d one density
-    or one per sample; each sample gets its own c, in an array of their
-    leading shape.  The integrand ((1-t) P + t Q)^{-1} has a pole at
-    t = 1/(1 - mu) for each eigenvalue mu of P^{-1} Q, near t = 0 for a
-    large mu and near t = 1 for a small one, so the order the doubling
-    needs grows with the distance of the spectrum from 1.  In u (see
+    densities holds each sample's density and inverses = (P^{-1}, Q^{-1});
+    the scales come in an array of the leading shape of P and Q.  The
+    integrand ((1-t) P + t Q)^{-1} has a pole at t = 1/(1 - mu) for each
+    eigenvalue mu of P^{-1} Q, near t = 0 for a large mu and near t = 1 for
+    a small one, so the order the doubling needs grows with the distance of
+    the spectrum from 1.  In u (see
     _integrate) mu moves to mu/c.  The spectrum lies within [2^lo, 2^hi],
     lo and hi from the entrywise max norms of P, Q and their inverses, and
     c is the centre 2^((lo+hi)/2) rounded to a power of two (so Q/c is
@@ -408,7 +407,6 @@ def _balance(d, pencil, inverses):
     """
     shape = pencil[0].shape[:-2]
     samples = stack_maxabs(np.array((*pencil, *inverses))).reshape(4, -1).T.tolist()
-    densities = [d] * len(samples) if isinstance(d, DensitySpec) else d
 
     def scale(d, p, q, p_inv, q_inv):
         hi = math.log2(q) + math.log2(p_inv)
@@ -418,43 +416,73 @@ def _balance(d, pencil, inverses):
         centre = (lo + hi) / 2.0
         return 1.0 if abs(centre) <= 2.0 else 2.0 ** min(max(round(centre), -1022), 1023)
 
-    scales = [scale(dk, *sample) for dk, sample in zip(densities, samples)]
-    return np.array(scales).reshape(shape)
+    return np.array([scale(d, *sample) for d, sample in zip(densities, samples)]).reshape(shape)
 
 
-def _atom_sum(atoms, P, Q, ends) -> np.ndarray:
-    """Sum over the atoms (t, w) of w ((1-t) P + t Q)^{-1}, per matrix of the stacks P, Q.
+def _resolvent_sums(P, Q, a, b, W, bounds) -> list:
+    """Each group's sum of w_k (a_k P + b_k Q)^{-1}, for each sample of the stacks P and Q.
 
-    ends = (P^{-1}, Q^{-1}), when given, are the exact values at t = 0 and 1.
+    The one place resolvents are built and solved: the density nodes and
+    the atoms of _integrate and the contour nodes of dunford_apply all come
+    here.  a, b and W hold the coefficients and weights of K nodes, one row
+    per sample or one row shared by all samples, and bounds = [0, ..., K]
+    cuts the nodes into groups: one stack of sums, shaped as P, comes back
+    per group.  The resolvents go to solve_stack in batches of at most
+    _STACK_ENTRIES complex entries (or one matrix): a batch holds as many
+    whole samples as fit, and a sample whose nodes alone do not fit is split
+    by node, each part's weighted sum added to its group's.  So memory is
+    O(_STACK_ENTRIES + samples n^2) at any node count and n, and a split by
+    sample only keeps every bit.  Each group is summed over its nodes by
+    index.
     """
-    total = None
-    for t, w in atoms:
-        if ends is not None and t in (0.0, 1.0):
-            term = w * ends[int(t)]
-        else:
-            term = w * solve_stack((1.0 - t) * P + t * Q)
-        total = term if total is None else total + term
-    return total
+    n, K = P.shape[-1], a.shape[1]
+    sums = [np.empty(P.shape, dtype=np.complex128) for _ in bounds[1:]]
+    # samples per batch, and nodes per batch: all K unless one sample overflows
+    step = max(1, _STACK_ENTRIES // (K * n * n))
+    width = min(K, max(1, _STACK_ENTRIES // (n * n)))
+    for lo in range(0, len(P), step):
+        part = slice(lo, lo + step)
+        own, Pp, Qp = slice(None) if len(a) == 1 else part, P[part, None], Q[part, None]
+        for k in range(0, K, width):
+            nodes = slice(k, k + width)
+            # stack: the pencil, built in the batch buffer, then its
+            # resolvents, deleted after use: besides the buffer, one
+            # batch-sized array (the second product, then the resolvents) is
+            # live at a time.  The coefficients are made complex first, as
+            # the product would cast them anyway, so the products take
+            # numpy's complex loop without a buffered cast.
+            ak, bk = (x[own, nodes].astype(np.complex128)[:, :, None, None] for x in (a, b))
+            stack = _batch_buffer((len(Pp), ak.shape[1], n, n))
+            np.multiply(ak, Pp, out=stack)
+            stack += bk * Qp
+            stack = solve_stack(stack.reshape(-1, n, n)).reshape(stack.shape)
+            # each group's nodes [b0, b1) that fall in this batch's [k, k + width)
+            for X, b0, b1 in zip(sums, bounds, bounds[1:]):
+                k0, k1 = max(b0, k), min(b1, k + width)
+                if k0 < k1:
+                    term = np.einsum("...k,...kij->...ij", W[own, k0:k1], stack[:, k0 - k:k1 - k])
+                    if k0 == b0:
+                        X[part] = term
+                    else:
+                        X[part] += term
+            del stack
+    return sums
 
 
 @lru_cache(maxsize=256)
 def _nodes(d: DensitySpec, orders: tuple, c: float) -> tuple:
     """Nodes u and weights W of _integrate for density d at scale c, read-only.
 
-    u holds the nodes of the given orders' rules in one row; W holds one row
-    of weights per order, those of the rule times the factor
-    c^e1 D^-(e0+e1+1) of the change of variable (see _integrate), exactly 1
-    at c = 1.
+    u holds the nodes of the given orders' rules in one row, and W their
+    weights, those of the rule times the factor c^e1 D^-(e0+e1+1) of the
+    change of variable (see _integrate), exactly 1 at c = 1.
     """
     rules = [gauss_jacobi_rule(d.exp0, d.exp1, k) for k in orders]
-    W = []
-    for rule in rules:
-        w = d.coeff * rule.weights
-        if c != 1.0:
-            u = rule.nodes
-            w = w * (c ** d.exp1 * (c * (1.0 - u) + u) ** -(d.exp0 + d.exp1 + 1.0))
-        W.append(read_only(w[None]))
-    return read_only(np.concatenate([rule.nodes for rule in rules])[None]), W
+    u = np.concatenate([rule.nodes for rule in rules])
+    W = d.coeff * np.concatenate([rule.weights for rule in rules])
+    if c != 1.0:
+        W = W * (c ** d.exp1 * (c * (1.0 - u) + u) ** -(d.exp0 + d.exp1 + 1.0))
+    return read_only(u[None]), read_only(W[None])
 
 
 def _integrate(P, Q, measure, plan=None, ends=None):
@@ -462,107 +490,80 @@ def _integrate(P, Q, measure, plan=None, ends=None):
 
     The one quadrature of the package, and the one place its plan is made.
     P and Q are matrices or (..., n, n) stacks of them; a stack is
-    integrated sample by sample, each sample with its own plan, in arrays
-    of the leading shape (a matrix is a stack of one, and its plan is a pair
-    of numbers), and measure is one MeasureSpec or one per sample.  A plan
-    given to be used as is is a pair of numbers, for every sample.  The measures of a
-    stack must agree on carrying atoms and a density; samples of equal
-    atoms share their atom solves, and samples of every density share one
-    resolvent batch.  The density is integrated in u = c t / (1 - t + c t),
-    the Moebius map of [0, 1] with t = u / D and D = c (1-u) + u: the
-    density t^e0 (1-t)^e1 dt becomes u^e0 (1-u)^e1 c^(e1+1) D^-(e0+e1+2) du
-    and the resolvent (D/c) ((1-u) P + u Q/c)^{-1}, so the same
-    Gauss-Jacobi rules apply to the pencil (P, Q/c), each weight times
-    c^e1 D^-(e0+e1+1).  For a power density (e0 + e1 = -1) that factor is
-    the constant c^e1, the homogeneity of the mean.  At c = 1 every factor
-    is exactly 1.  Without a plan the scale c is _balance's for the pencil,
-    from ends when given and otherwise from one inversion of [P, Q], and
-    the order is the doubling's (see _converged); a route that must run at
-    the nodes of another passes that route's plan, which is used as is.
-    The resolvents at the density nodes of every order _converged asks for,
-    for the samples it names by index, go to solve_stack in batches of at
-    most _STACK_ENTRIES complex entries (or one matrix): a batch holds as
-    many whole samples as fit, and a sample whose nodes alone do not fit is
-    split by node, each part's weighted sum added to its orders' values.
-    So memory is O(_STACK_ENTRIES + samples n^2) at any order and n, and a
-    split by sample only keeps every bit.  The plan is read off the
-    per-sample arrays of scales and of _converged's orders.  ends = (P^{-1},
-    Q^{-1}), when given, are the exact values of atoms at t = 0 and t = 1.
-    Summation order is fixed: atoms in declaration order, then nodes by
-    index.  Pure-atom measures are exact: they are evaluated once,
-    unchecked, and report the plan (0, 1.0).
+    integrated sample by sample, each sample with its own plan, in arrays of
+    the leading shape (a matrix is a stack of one, and its plan is a pair of
+    numbers), and measure is one MeasureSpec or one per sample.  The
+    measures of a stack must agree on their atom count and on carrying a
+    density.  A plan given to be used as is is a pair of numbers, for every
+    sample.  Every resolvent is summed by _resolvent_sums: the atoms of all
+    samples in one call, their positions and weights one row per sample (or
+    one for all, when they share them), and the density nodes in one call
+    per step of the doubling.  ends = (P^{-1}, Q^{-1}), when given, are the
+    exact values of an atom that lies at t = 0, or at t = 1, in every
+    sample, which is then not solved.  The density is integrated in
+    u = c t / (1 - t + c t), the Moebius map of [0, 1] with t = u / D and
+    D = c (1-u) + u: the density t^e0 (1-t)^e1 dt becomes
+    u^e0 (1-u)^e1 c^(e1+1) D^-(e0+e1+2) du and the resolvent
+    (D/c) ((1-u) P + u Q/c)^{-1}, so the same Gauss-Jacobi rules apply to
+    the pencil (P, Q/c), each weight times c^e1 D^-(e0+e1+1).  For a power
+    density (e0 + e1 = -1) that factor is the constant c^e1, the homogeneity
+    of the mean, and u/c Q = u (Q/c) to the bit, c being a power of two.
+    At c = 1 every factor is exactly 1.  Without a plan the scale c is
+    _balance's for the pencil, from ends when given and otherwise from one
+    inversion of [P, Q], and the order is the doubling's (see _converged); a
+    route that must run at the nodes of another passes that route's plan,
+    which is used as is.  Summation order is fixed: the atoms taken from
+    ends, the solved atoms, then the density nodes, each by index.
+    Pure-atom measures are exact: they are evaluated once, unchecked, and
+    report the plan (0, 1.0).
     """
     shape, n = P.shape, P.shape[-1]
     P, Q = P.reshape(-1, n, n), Q.reshape(-1, n, n)
     count = len(P)
     if ends is not None:
         ends = (ends[0].reshape(-1, n, n), ends[1].reshape(-1, n, n))
-    # the samples of each distinct measure: all of them for a single one
-    single = isinstance(measure, MeasureSpec)
-    measures = [measure] if single else list(measure)
-    first = measures[0]
-    if not single and any(bool(m.atoms) != bool(first.atoms)
-                          or (m.density is None) != (first.density is None) for m in measures):
-        raise ParameterError("the measures of a stack must agree on carrying atoms and a density")
+    measures = [measure] * count if isinstance(measure, MeasureSpec) else list(measure)
+    if len({(len(m.atoms), m.density is None) for m in measures}) > 1:
+        raise ParameterError("the measures of a stack must agree on their atom count "
+                             "and on carrying a density")
     total = None
-    if first.atoms:
-        if single:
-            total = _atom_sum(measure.atoms, P, Q, ends)
-        else:
-            total = np.empty((count, n, n), dtype=np.complex128)
-            for m, rows in _groups(measures):
-                part_ends = None if ends is None else (ends[0][rows], ends[1][rows])
-                total[rows] = _atom_sum(m.atoms, P[rows], Q[rows], part_ends)
-    if first.density is None:
+    if measures[0].atoms:
+        atoms = [m.atoms for m in measures]
+        # positions and weights: one row for all samples when they share them
+        shared = atoms.count(atoms[0]) == count
+        t, w = np.array(atoms[:1] if shared else atoms, dtype=float).transpose(2, 0, 1)
+        # with ends, an atom at 0 or at 1 in every sample is taken from them
+        solved = []
+        for j, tj in enumerate(t.T.tolist()):
+            if ends is not None and tj[0] in (0.0, 1.0) and tj.count(tj[0]) == len(tj):
+                term = w[:, j, None, None] * ends[int(tj[0])]
+                total = term if total is None else total + term
+            else:
+                solved.append(j)
+        if solved:
+            t, w = t[:, solved], w[:, solved]
+            term = _resolvent_sums(P, Q, 1.0 - t, t, w, (0, len(solved)))[0]
+            total = term if total is None else total + term
+    if measures[0].density is None:
         return total.reshape(shape), (0, 1.0)
-    densities = [measure.density] * count if single else [m.density for m in measures]
+    # an array, so that compute's rows (a slice or an index array) select from it
+    densities = np.array([m.density for m in measures], dtype=object)
     if plan is None:
         inverses = ends if ends is not None else np.split(solve_stack(np.concatenate([P, Q])), 2)
         order, scales = None, _balance(densities, (P, Q), inverses)
     else:
         order, scales = int(plan[0]), np.full(count, float(plan[1]))
 
-    def compute(orders, rows=np.arange(count)):
+    def compute(orders, rows=slice(None)):
         """Each order's value for the samples rows (all of them by default)."""
         c = scales[rows]
         # each row's nodes and weights: one row for all when they share them
-        tables = [_nodes(densities[k], orders, ck) for k, ck in zip(rows.tolist(), c.tolist())]
-        shared = all(t is tables[0] for t in tables)
-        u, W = tables[0] if shared else (np.concatenate([t[0] for t in tables]),
-                                         [np.concatenate(w) for w in zip(*(t[1] for t in tables))])
-        bounds, K = [0, *accumulate(orders)], u.shape[1]
-        values = [np.empty((len(rows), n, n), dtype=np.complex128) for _ in orders]
-        # samples per batch, and nodes per batch: all K unless one sample overflows
-        step = max(1, _STACK_ENTRIES // (K * n * n))
-        width = min(K, max(1, _STACK_ENTRIES // (n * n)))
-        for lo in range(0, len(rows), step):
-            part = slice(lo, lo + step)
-            own, r = slice(None) if shared else part, rows[part]
-            for a in range(0, K, width):
-                ui = u[own, a:a + width]
-                # stack: the pencil, built in the batch buffer, then its
-                # resolvents, deleted after use: besides the buffer, one
-                # batch-sized array (the second product, then the
-                # resolvents) is live at a time.  u/c Q = u (Q/c) to the
-                # bit: c is a power of two.  The coefficients are made
-                # complex first, as the product would cast them anyway, so
-                # the products take numpy's complex loop without a buffered
-                # cast.
-                stack = _batch_buffer((len(r), ui.shape[1], n, n))
-                np.multiply((1.0 - ui).astype(np.complex128)[:, :, None, None], P[r, None], out=stack)
-                stack += (ui / c[part, None]).astype(np.complex128)[:, :, None, None] * Q[r, None]
-                stack = solve_stack(stack.reshape(-1, n, n)).reshape(stack.shape)
-                # each order's nodes [b0, b1) that fall in this batch's [a, a + width)
-                for X, w, b0, b1 in zip(values, W, bounds, bounds[1:]):
-                    k0, k1 = max(b0, a), min(b1, a + width)
-                    if k0 < k1:
-                        term = np.einsum("...k,...kij->...ij", w[own, k0 - b0:k1 - b0],
-                                         stack[:, k0 - a:k1 - a])
-                        if k0 == b0:
-                            X[part] = term
-                        else:
-                            X[part] += term
-                del stack
+        tables = [_nodes(d, orders, ck) for d, ck in zip(densities[rows], c.tolist())]
+        shared = all(table is tables[0] for table in tables)
+        u, W = tables[0] if shared else (np.concatenate(x) for x in zip(*tables))
+        c = c[:1] if shared else c
+        values = _resolvent_sums(P[rows], Q[rows], 1.0 - u, u / c[:, None], W,
+                                 [0, *accumulate(orders)])
         return values if total is None else [total[rows] + X for X in values]
 
     X, orders = _converged(compute, order)
@@ -578,11 +579,12 @@ def _sigma(A: np.ndarray, B: np.ndarray, measure, plan=None):
     _integrate on the inverted pair, with A and B as its ends, so the plan
     is chosen there unless one is given.  A and B are matrices or stacks
     of them, taken sample by sample, and measure one MeasureSpec or one per
-    sample (see _integrate).  sigma_mean is this at (A, B), f(A) at
-    (I, A), and the weighted harmonic mean at a single atom; the suite
-    engine calls it on the stacks of an ensemble.  A and B come accretive:
-    checked by the public means and f(A), or accretive by construction in
-    the suite engine.
+    sample, which agree on their atom count and on carrying a density (see
+    _integrate).  sigma_mean is this at (A, B), f(A) at (I, A), and the
+    weighted harmonic mean at a single atom, one per sample for a weight
+    drawn per sample; the suite engine calls it on the stacks of an
+    ensemble.  A and B come accretive: checked by the public means and
+    f(A), or accretive by construction in the suite engine.
     """
     n = A.shape[-1]
     P, Q = solve_stack(np.array((A, B)).reshape(-1, n, n)).reshape(2, *A.shape)
@@ -658,32 +660,25 @@ def dunford_apply(f: MonotoneFunction, A, contour: DunfordContour) -> np.ndarray
 
     On z = exp(c + d cos(theta - i eta)) the integrand is periodic and
     analytic in theta, so the trapezoid rule converges geometrically; the
-    independent cross-check against apply_function.  The resolvents go
-    through solve_stack in chunks of at most _STACK_ENTRIES complex entries,
-    as those of _integrate do (16 nodes at n = 64), each chunk built in
-    place in the batch buffer, so memory stays bounded whatever the node
-    count.
+    independent cross-check against apply_function.  The sum is
+    _resolvent_sums' on the pencil (I, A) with coefficients (z, -1), so
+    memory stays bounded whatever the node count.
     """
     A = require_accretive(as_matrix(A))
-    if contour.nodes < 16:
+    N = _integer(contour.nodes, "contour nodes")
+    if N < 16:
         raise ParameterError("contour needs at least 16 nodes")
     d, eta = contour.d, contour.eta
     if not (d > 0.0 and eta > 0.0 and d * math.sinh(eta) < math.pi):
         raise ParameterError("contour ellipse must stay in |Im log z| < pi")
-    n, N = A.shape[0], contour.nodes
     phase = 2.0 * math.pi * np.arange(N) / N - 1j * eta
     z = np.exp(contour.c + d * np.cos(phase))
     fz = np.asarray(f.scalar_form(z), dtype=np.complex128)
     # dz = z w'(theta) dtheta with w' = -d sin(phase), and 2 pi / N per node over 2 pi i
     weights = 1j * d * np.sin(phase) * z * fz / N
-    F = np.zeros((n, n), dtype=np.complex128)
-    eye, step = np.eye(n), max(1, _STACK_ENTRIES // (n * n))
-    for k in range(0, N, step):
-        zk = z[k:k + step]
-        stack = np.multiply.outer(zk, eye, out=_batch_buffer((len(zk), n, n)))
-        stack -= A
-        F += np.tensordot(weights[k:k + step], solve_stack(stack), 1)
-    return F
+    eye = np.eye(A.shape[0], dtype=np.complex128)
+    return _resolvent_sums(eye[None], A[None], z[None], np.full((1, N), -1.0), weights[None],
+                           (0, N))[0][0]
 
 
 def scalar_eval(f: MonotoneFunction, z: complex) -> complex:

@@ -10,6 +10,8 @@ import pytest
 from amm import funcalc
 from amm.errors import InvalidInputError, NumericFailureError, ParameterError, PreconditionError
 from amm.funcalc import (
+    DensitySpec,
+    MeasureSpec,
     apply_function,
     catalog,
     choose_contour,
@@ -128,6 +130,30 @@ class TestQuadrature:
             gauss_jacobi_rule(0.0, 0.0, 1)
         with pytest.raises(ParameterError):
             gauss_jacobi_rule(0.0, 0.0, 10_000)
+
+    @pytest.mark.parametrize("e0, e1, order", [
+        (math.nan, 0.0, 8), (0.0, math.nan, 8), (math.inf, 0.0, 8),
+        (0.0, 0.0, 8.5), (0.0, 0.0, 8.0), (0.0, 0.0, True),
+    ])
+    def test_non_finite_or_non_integer_params_refused(self, e0, e1, order):
+        # NaN exponents used to fail in the eigensolver, and order 8.5 to
+        # return the order-8 rule
+        with pytest.raises(ParameterError):
+            gauss_jacobi_rule(e0, e1, order)
+
+    @pytest.mark.parametrize("measure", [
+        MeasureSpec(atoms=((0.5, math.nan),)),
+        MeasureSpec(atoms=((0.5, math.inf),)),
+        MeasureSpec(atoms=((math.nan, 1.0),)),
+        MeasureSpec(density=DensitySpec(coeff=math.nan, exp0=0.0, exp1=0.0)),
+        MeasureSpec(density=DensitySpec(coeff=math.inf, exp0=0.0, exp1=0.0)),
+        MeasureSpec(density=DensitySpec(coeff=1.0, exp0=math.nan, exp1=0.0)),
+        MeasureSpec(density=DensitySpec(coeff=1.0, exp0=0.0, exp1=math.nan)),
+    ])
+    def test_non_finite_measure_refused(self, measure):
+        # a NaN or infinite weight used to give a NaN or infinite mass
+        with pytest.raises(ParameterError):
+            measure_mass(measure)
 
 
 class TestHarmonicUnit:
@@ -249,6 +275,34 @@ class TestDunford:
         assert peak < 8 * 2**20
         assert maxabs(got - want) <= 1e-10 * (1.0 + maxabs(want))
 
+    def test_node_batches_match_unsplit_sum(self, monkeypatch):
+        # 2048 nodes at n = 64 go to solve_stack 16 at a time (1 MiB), and
+        # the sum matches the one-piece value
+        spec = EnsembleSpec(dim=64, alpha_max=math.pi / 3, m=1.0, M=2.0, count=1, seed=5)
+        A = random_sectorial(spec, 0)
+        f = catalog("power", 0.5)
+        contour = dataclasses.replace(choose_contour(A), nodes=2048)
+        batches = []
+
+        def counting(stack):
+            batches.append(len(stack))
+            return solve_stack(stack)
+
+        monkeypatch.setattr(funcalc, "solve_stack", counting)
+        got = dunford_apply(f, A, contour)
+        assert batches == [16] * 128
+        monkeypatch.setattr(funcalc, "_STACK_ENTRIES", 2048 * 64 * 64)
+        want = dunford_apply(f, A, contour)
+        assert batches[128:] == [2048]
+        assert maxabs(got - want) <= 1e-14 * maxabs(want)
+
+    @pytest.mark.parametrize("nodes", [16.5, 32.0, np.float64(32.0), True, np.bool_(True)])
+    def test_non_integer_nodes_refused(self, nodes):
+        A = np.diag([1.0, 4.0]).astype(complex)
+        contour = dataclasses.replace(choose_contour(A), nodes=nodes)
+        with pytest.raises(ParameterError, match="integer"):
+            dunford_apply(catalog("power", 0.5), A, contour)
+
     def test_affine_exact(self):
         A = np.array([[2 + 1j, 0.4], [0.2, 3.0]])
         f = catalog("arithmetic", 0.3)
@@ -339,7 +393,7 @@ class TestAdaptiveOrder:
 
         def scale(d, Q):
             pencil = np.stack([np.eye(3), Q])
-            return funcalc._balance(d, pencil, np.linalg.inv(pencil))
+            return funcalc._balance([d], pencil, np.linalg.inv(pencil))
 
         assert scale(power, np.eye(3) / 1e4) == 2.0 ** -13
         assert scale(power, np.eye(3) / 3.0) == 1.0
@@ -387,7 +441,7 @@ class TestAdaptiveOrder:
         P, Q = np.eye(2, dtype=np.complex128), np.diag([1e12, 1e-12]).astype(np.complex128)
         measure = catalog("power", 0.5).measure
         pencil = np.array([P, Q])
-        assert funcalc._balance(measure.density, pencil, np.linalg.inv(pencil)) == 1.0
+        assert funcalc._balance([measure.density], pencil, np.linalg.inv(pencil)) == 1.0
         with pytest.raises(NumericFailureError, match="not converged at order 256"):
             funcalc._integrate(P, Q, measure)
         assert batches == [2, 8 + 16, 32, 64, 128, 256, 512]
@@ -466,3 +520,60 @@ class TestAdaptiveOrder:
             Xk, plan = funcalc._sigma(A[k], B[k], measures[k])
             assert np.array_equal(X[k], Xk), f"sample {k}"
             assert plan == (orders[k], scales[k])
+
+
+class TestResolventSums:
+    def test_per_sample_atoms_are_one_batch(self, monkeypatch):
+        # harmonic atoms at a different t in each sample are one solve of
+        # the S matrices, and each sample is its own _sigma call to the bit
+        spec = EnsembleSpec(dim=4, alpha_max=1.2, m=1.0, M=100.0, count=10, seed=3)
+        A, B = random_sectorial(spec, range(5)), random_sectorial(spec, range(5, 10))
+        measures = [MeasureSpec(atoms=((t, 1.0),)) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        batches = []
+
+        def counting(stack):
+            batches.append(len(stack))
+            return solve_stack(stack)
+
+        monkeypatch.setattr(funcalc, "solve_stack", counting)
+        X, plan = funcalc._sigma(A, B, measures)
+        # the pair's inversion, then the atoms
+        assert batches == [10, 5]
+        assert plan == (0, 1.0)
+        for k in range(5):
+            assert np.array_equal(X[k], funcalc._sigma(A[k], B[k], measures[k])[0]), f"sample {k}"
+
+    def test_endpoint_atoms_take_the_ends(self, monkeypatch):
+        # an atom at 0 or 1 in every sample is the operand itself, unsolved;
+        # one that lies inside (0, 1) in some sample is solved in all
+        spec = EnsembleSpec(dim=3, alpha_max=1.0, m=1.0, M=10.0, count=4, seed=8)
+        A, B = random_sectorial(spec, range(2)), random_sectorial(spec, range(2, 4))
+        batches = []
+
+        def counting(stack):
+            batches.append(len(stack))
+            return solve_stack(stack)
+
+        monkeypatch.setattr(funcalc, "solve_stack", counting)
+        measures = [MeasureSpec(atoms=((0.0, 0.25), (1.0, 0.75)))] * 2
+        X, _ = funcalc._sigma(A, B, measures)
+        assert np.array_equal(X, 0.25 * A + 0.75 * B)
+        assert batches == [4]  # the pair's inversion only
+        measures = [MeasureSpec(atoms=((0.0, 0.25), (1.0, 0.75))),
+                    MeasureSpec(atoms=((0.5, 0.25), (1.0, 0.75)))]
+        X, _ = funcalc._sigma(A, B, measures)
+        assert batches == [4, 4, 2]
+        for k, want in enumerate((0.25 * A[0] + 0.75 * B[0],
+                                  0.25 * harmonic_mean(A[1], B[1], 0.5) + 0.75 * B[1])):
+            assert maxabs(X[k] - want) <= 1e-14 * maxabs(want)
+
+    @pytest.mark.parametrize("measures", [
+        [MeasureSpec(atoms=((0.3, 1.0),)), MeasureSpec(atoms=((0.0, 0.5), (1.0, 0.5)))],
+        [MeasureSpec(atoms=((0.3, 1.0),), density=DensitySpec(coeff=1.0, exp0=0.0, exp1=0.0)),
+         MeasureSpec(atoms=((0.3, 1.0),))],
+    ], ids=["atom count", "density"])
+    def test_disagreeing_measures_refused(self, measures):
+        spec = EnsembleSpec(dim=3, alpha_max=1.0, m=1.0, M=10.0, count=4, seed=8)
+        A, B = random_sectorial(spec, range(2)), random_sectorial(spec, range(2, 4))
+        with pytest.raises(ParameterError, match="agree"):
+            funcalc._sigma(A, B, measures)

@@ -25,7 +25,7 @@ golden, workcount = _load("regenerate"), _load("workcount")
 
 MARGIN_TOL = 1e-12
 # solve_stack calls and their sum of K n^3 (8.635e6) at 5 samples
-SOLVE_CALLS, SOLVE_WORK = 2098, 8_634_945
+SOLVE_CALLS, SOLVE_WORK = 1590, 8_634_945
 
 
 def test_default_suite_matches_golden_margins():
