@@ -25,6 +25,7 @@ from .errors import (
     NumericFailureError,
     ParameterError,
     PreconditionError,
+    integer,
 )
 from .linalg import NormKind
 from .maps import random_map
@@ -39,21 +40,14 @@ EXIT_SUITE_FAILED = 5
 REPORT_SCHEMA = "amm-suite-report/1"
 
 
-def _integer(value, name: str) -> int:
-    """A JSON integer field: a float or a boolean is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def read_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        n = _integer(data["n"], "n")
+        n = integer(data["n"], "n")
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ParameterError) as exc:
         raise InvalidInputError(f"malformed matrix file {path}: {exc}") from exc
     if re.shape != (n, n) or im.shape != (n, n):
         raise InvalidInputError(f"matrix file {path} arrays are not {n}x{n}")
@@ -142,12 +136,12 @@ def _item_from_config(entry: dict, position: int) -> verify.SuiteItem:
     f = g = phi = norm = None
     try:
         spec = EnsembleSpec(
-            dim=_integer(entry["dim"], "dim"),
+            dim=entry["dim"],
             alpha_max=float(entry.get("alpha_max", 0.0)),
             m=float(entry.get("m", 1.0)),
             M=float(entry.get("M", 2.0)),
-            count=_integer(entry.get("count", 200), "count"),
-            seed=_integer(entry.get("seed", verify.DEFAULT_SEED), "seed"),
+            count=entry.get("count", 200),
+            seed=entry.get("seed", verify.DEFAULT_SEED),
         )
         if entry.get("function"):
             f = _build_function(entry["function"]["name"], entry["function"].get("param"))
@@ -157,10 +151,10 @@ def _item_from_config(entry: dict, position: int) -> verify.SuiteItem:
             mp = entry["map"]
             flat = mp["variant"] in ("vector_state", "normalized_trace")
             phi = random_map(
-                _integer(mp.get("dim_in", spec.dim), "map dim_in"),
-                _integer(mp.get("dim_out", 1 if flat else spec.dim), "map dim_out"),
+                integer(mp.get("dim_in", spec.dim), "map dim_in"),
+                integer(mp.get("dim_out", 1 if flat else spec.dim), "map dim_out"),
                 mp["variant"],
-                _integer(mp.get("seed", spec.seed), "map seed"),
+                integer(mp.get("seed", spec.seed), "map seed"),
             )
         if entry.get("norm"):
             norm = NormKind.parse(entry["norm"])

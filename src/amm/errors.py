@@ -4,6 +4,8 @@ The CLI maps these onto its exit codes: ParameterError and
 InvalidInputError -> 2, PreconditionError -> 3, NumericFailureError -> 4.
 """
 
+from numbers import Integral
+
 
 class AmmError(Exception):
     """Base class for all errors raised by this package."""
@@ -34,3 +36,10 @@ class SingularMatrixError(NumericFailureError):
     def __init__(self, pivot_index: int, message: str | None = None):
         self.pivot_index = pivot_index
         super().__init__(message or f"singular matrix: pivot {pivot_index} is negligible")
+
+
+def integer(value, name: str):
+    """value, refused with ParameterError unless an integer: a float or a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return value

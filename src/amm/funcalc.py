@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInputError, NumericFailureError, ParameterError
+from .errors import InvalidInputError, NumericFailureError, ParameterError, integer
 from .linalg import (
     as_matrix,
     is_accretive,
@@ -147,13 +147,6 @@ class MeasureSpec:
     density: DensitySpec | None = None
 
 
-def _integer(value, name: str):
-    """value, refused with ParameterError unless an integer: a float or a boolean is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _validate_measure(measure: MeasureSpec):
     seen = set()
     for t, w in measure.atoms:
@@ -238,7 +231,7 @@ def gauss_jacobi_rule(exp0: float, exp1: float, order: int) -> QuadratureRule:
     """Nodes interior to (0, 1), positive weights, degree 2*order - 1 exact."""
     if not (-1.0 < exp0 < math.inf and -1.0 < exp1 < math.inf):
         raise ParameterError(f"exponents must be finite and exceed -1, got ({exp0}, {exp1})")
-    if not 2 <= _integer(order, "order") <= _MAX_ORDER:
+    if not 2 <= integer(order, "order") <= _MAX_ORDER:
         raise ParameterError(f"order must be in [2, {_MAX_ORDER}], got {order}")
     return _cached_rule(float(exp0), float(exp1), int(order))
 
@@ -425,15 +418,14 @@ def _resolvent_sums(P, Q, a, b, W, bounds) -> list:
     The one place resolvents are built and solved: the density nodes and
     the atoms of _integrate and the contour nodes of dunford_apply all come
     here.  a, b and W hold the coefficients and weights of K nodes, one row
-    per sample or one row shared by all samples, and bounds = [0, ..., K]
-    cuts the nodes into groups: one stack of sums, shaped as P, comes back
-    per group.  The resolvents go to solve_stack in batches of at most
-    _STACK_ENTRIES complex entries (or one matrix): a batch holds as many
-    whole samples as fit, and a sample whose nodes alone do not fit is split
-    by node, each part's weighted sum added to its group's.  So memory is
-    O(_STACK_ENTRIES + samples n^2) at any node count and n, and a split by
-    sample only keeps every bit.  Each group is summed over its nodes by
-    index.
+    per sample, and bounds = [0, ..., K] cuts the nodes into groups: one
+    stack of sums, shaped as P, comes back per group.  The resolvents go to
+    solve_stack in batches of at most _STACK_ENTRIES complex entries (or one
+    matrix): a batch holds as many whole samples as fit, and a sample whose
+    nodes alone do not fit is split by node, each part's weighted sum added
+    to its group's.  So memory is O(_STACK_ENTRIES + samples n^2) at any
+    node count and n, and a split by sample only keeps every bit.  Each
+    group is summed over its nodes by index.
     """
     n, K = P.shape[-1], a.shape[1]
     sums = [np.empty(P.shape, dtype=np.complex128) for _ in bounds[1:]]
@@ -442,7 +434,7 @@ def _resolvent_sums(P, Q, a, b, W, bounds) -> list:
     width = min(K, max(1, _STACK_ENTRIES // (n * n)))
     for lo in range(0, len(P), step):
         part = slice(lo, lo + step)
-        own, Pp, Qp = slice(None) if len(a) == 1 else part, P[part, None], Q[part, None]
+        Pp, Qp = P[part, None], Q[part, None]
         for k in range(0, K, width):
             nodes = slice(k, k + width)
             # stack: the pencil, built in the batch buffer, then its
@@ -451,7 +443,7 @@ def _resolvent_sums(P, Q, a, b, W, bounds) -> list:
             # live at a time.  The coefficients are made complex first, as
             # the product would cast them anyway, so the products take
             # numpy's complex loop without a buffered cast.
-            ak, bk = (x[own, nodes].astype(np.complex128)[:, :, None, None] for x in (a, b))
+            ak, bk = (x[part, nodes].astype(np.complex128)[:, :, None, None] for x in (a, b))
             stack = _batch_buffer((len(Pp), ak.shape[1], n, n))
             np.multiply(ak, Pp, out=stack)
             stack += bk * Qp
@@ -460,7 +452,7 @@ def _resolvent_sums(P, Q, a, b, W, bounds) -> list:
             for X, b0, b1 in zip(sums, bounds, bounds[1:]):
                 k0, k1 = max(b0, k), min(b1, k + width)
                 if k0 < k1:
-                    term = np.einsum("...k,...kij->...ij", W[own, k0:k1], stack[:, k0 - k:k1 - k])
+                    term = np.einsum("...k,...kij->...ij", W[part, k0:k1], stack[:, k0 - k:k1 - k])
                     if k0 == b0:
                         X[part] = term
                     else:
@@ -486,21 +478,21 @@ def _nodes(d: DensitySpec, orders: tuple, c: float) -> tuple:
 
 
 def _integrate(P, Q, measure, plan=None, ends=None):
-    """(integral of ((1-t) P + t Q)^{-1} over the measure, its plan (order, scale)).
+    """(integral of ((1-t) P + t Q)^{-1} over the measure, its plan (orders, scales)).
 
     The one quadrature of the package, and the one place its plan is made.
-    P and Q are matrices or (..., n, n) stacks of them; a stack is
-    integrated sample by sample, each sample with its own plan, in arrays of
-    the leading shape (a matrix is a stack of one, and its plan is a pair of
-    numbers), and measure is one MeasureSpec or one per sample.  The
-    measures of a stack must agree on their atom count and on carrying a
-    density.  A plan given to be used as is is a pair of numbers, for every
-    sample.  Every resolvent is summed by _resolvent_sums: the atoms of all
-    samples in one call, their positions and weights one row per sample (or
-    one for all, when they share them), and the density nodes in one call
-    per step of the doubling.  ends = (P^{-1}, Q^{-1}), when given, are the
-    exact values of an atom that lies at t = 0, or at t = 1, in every
-    sample, which is then not solved.  The density is integrated in
+    P and Q are matrices or (..., n, n) stacks of them, integrated sample by
+    sample (a matrix is a stack of one), and measure is one MeasureSpec or
+    one per sample.  The measures of a stack must agree on their atom count
+    and on carrying a density.  Each sample gets its own plan, an order and
+    a scale, returned as two arrays of the leading shape (0-d for a
+    matrix).  A plan given to be used as is is one order and one scale, for
+    every sample.  Every resolvent is summed by _resolvent_sums, its
+    positions, nodes and weights one row per sample: the atoms of all
+    samples in one call, and the density nodes in one call per step of the
+    doubling.  ends = (P^{-1}, Q^{-1}), when given, are the exact values of
+    an atom that lies at t = 0, or at t = 1, in every sample, which is then
+    not solved.  The density is integrated in
     u = c t / (1 - t + c t), the Moebius map of [0, 1] with t = u / D and
     D = c (1-u) + u: the density t^e0 (1-t)^e1 dt becomes
     u^e0 (1-u)^e1 c^(e1+1) D^-(e0+e1+2) du and the resolvent
@@ -514,8 +506,8 @@ def _integrate(P, Q, measure, plan=None, ends=None):
     route that must run at the nodes of another passes that route's plan,
     which is used as is.  Summation order is fixed: the atoms taken from
     ends, the solved atoms, then the density nodes, each by index.
-    Pure-atom measures are exact: they are evaluated once, unchecked, and
-    report the plan (0, 1.0).
+    Pure-atom measures are exact: they are evaluated once, unchecked, at
+    order 0 and scale 1.
     """
     shape, n = P.shape, P.shape[-1]
     P, Q = P.reshape(-1, n, n), Q.reshape(-1, n, n)
@@ -526,12 +518,9 @@ def _integrate(P, Q, measure, plan=None, ends=None):
     if len({(len(m.atoms), m.density is None) for m in measures}) > 1:
         raise ParameterError("the measures of a stack must agree on their atom count "
                              "and on carrying a density")
-    total = None
+    total, lead = None, shape[:-2]
     if measures[0].atoms:
-        atoms = [m.atoms for m in measures]
-        # positions and weights: one row for all samples when they share them
-        shared = atoms.count(atoms[0]) == count
-        t, w = np.array(atoms[:1] if shared else atoms, dtype=float).transpose(2, 0, 1)
+        t, w = np.array([m.atoms for m in measures], dtype=float).transpose(2, 0, 1)
         # with ends, an atom at 0 or at 1 in every sample is taken from them
         solved = []
         for j, tj in enumerate(t.T.tolist()):
@@ -545,7 +534,7 @@ def _integrate(P, Q, measure, plan=None, ends=None):
             term = _resolvent_sums(P, Q, 1.0 - t, t, w, (0, len(solved)))[0]
             total = term if total is None else total + term
     if measures[0].density is None:
-        return total.reshape(shape), (0, 1.0)
+        return total.reshape(shape), (np.zeros(lead, dtype=int), np.ones(lead))
     # an array, so that compute's rows (a slice or an index array) select from it
     densities = np.array([m.density for m in measures], dtype=object)
     if plan is None:
@@ -557,34 +546,30 @@ def _integrate(P, Q, measure, plan=None, ends=None):
     def compute(orders, rows=slice(None)):
         """Each order's value for the samples rows (all of them by default)."""
         c = scales[rows]
-        # each row's nodes and weights: one row for all when they share them
         tables = [_nodes(d, orders, ck) for d, ck in zip(densities[rows], c.tolist())]
-        shared = all(table is tables[0] for table in tables)
-        u, W = tables[0] if shared else (np.concatenate(x) for x in zip(*tables))
-        c = c[:1] if shared else c
+        u, W = (np.concatenate(x) for x in zip(*tables))
         values = _resolvent_sums(P[rows], Q[rows], 1.0 - u, u / c[:, None], W,
                                  [0, *accumulate(orders)])
         return values if total is None else [total[rows] + X for X in values]
 
     X, orders = _converged(compute, order)
-    if len(shape) == 2:  # a matrix: its plan as plain numbers
-        return X[0], (int(orders[0]), float(scales[0]))
-    return X.reshape(shape), (orders.reshape(shape[:-2]), scales.reshape(shape[:-2]))
+    return X.reshape(shape), (orders.reshape(lead), scales.reshape(lead))
 
 
 def _sigma(A: np.ndarray, B: np.ndarray, measure, plan=None):
-    """(integral of A !_t B over the measure, the quadrature plan taken).
+    """(integral of A !_t B over the measure, its plan (orders, scales)).
 
     A !_t B = ((1-t) A^{-1} + t B^{-1})^{-1}, exactly A and B at t = 0, 1:
     _integrate on the inverted pair, with A and B as its ends, so the plan
-    is chosen there unless one is given.  A and B are matrices or stacks
-    of them, taken sample by sample, and measure one MeasureSpec or one per
-    sample, which agree on their atom count and on carrying a density (see
-    _integrate).  sigma_mean is this at (A, B), f(A) at (I, A), and the
-    weighted harmonic mean at a single atom, one per sample for a weight
-    drawn per sample; the suite engine calls it on the stacks of an
-    ensemble.  A and B come accretive: checked by the public means and
-    f(A), or accretive by construction in the suite engine.
+    is chosen there unless one is given, and comes back in its arrays.  A
+    and B are matrices or stacks of them, taken sample by sample, and
+    measure one MeasureSpec or one per sample, which agree on their atom
+    count and on carrying a density (see _integrate).  sigma_mean is this
+    at (A, B), f(A) at (I, A), and the weighted harmonic mean at a single
+    atom, one per sample for a weight drawn per sample; the suite engine
+    calls it on the stacks of an ensemble.  A and B come accretive: checked
+    by the public means and f(A), or accretive by construction in the suite
+    engine.
     """
     n = A.shape[-1]
     P, Q = solve_stack(np.array((A, B)).reshape(-1, n, n)).reshape(2, *A.shape)
@@ -660,17 +645,28 @@ def dunford_apply(f: MonotoneFunction, A, contour: DunfordContour) -> np.ndarray
 
     On z = exp(c + d cos(theta - i eta)) the integrand is periodic and
     analytic in theta, so the trapezoid rule converges geometrically; the
-    independent cross-check against apply_function.  The sum is
-    _resolvent_sums' on the pencil (I, A) with coefficients (z, -1), so
-    memory stays bounded whatever the node count.
+    independent cross-check against apply_function.  The ellipse must
+    stay in |Im w| < pi and hold the rectangle [log m, log ||A||] x
+    [-alpha, alpha] that holds log W(A) (see choose_contour): all four
+    corners inside its semi-axes d cosh eta and d sinh eta, which a centre
+    c that is not finite fails.  The sum is _resolvent_sums' on the pencil
+    (I, A) with coefficients (z, -1), so memory stays bounded whatever the
+    node count.
     """
-    A = require_accretive(as_matrix(A))
-    N = _integer(contour.nodes, "contour nodes")
+    A = as_matrix(A)
+    cert = certify(A)
+    N = integer(contour.nodes, "contour nodes")
     if N < 16:
         raise ParameterError("contour needs at least 16 nodes")
     d, eta = contour.d, contour.eta
     if not (d > 0.0 and eta > 0.0 and d * math.sinh(eta) < math.pi):
         raise ParameterError("contour ellipse must stay in |Im log z| < pi")
+    # the corners (x, +-alpha) for x = log m and log ||A||
+    x = np.array([math.log(cert.m), math.log(linalg.opnorm(A))]) - contour.c
+    y = cert.alpha / (d * math.sinh(eta))
+    if not np.all((x / (d * math.cosh(eta))) ** 2 + y * y < 1.0):
+        raise ParameterError(f"contour ellipse centred at {contour.c} does not enclose "
+                             "the sector of A")
     phase = 2.0 * math.pi * np.arange(N) / N - 1j * eta
     z = np.exp(contour.c + d * np.cos(phase))
     fz = np.asarray(f.scalar_form(z), dtype=np.complex128)

@@ -22,6 +22,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
     SingularMatrixError,
+    integer,
 )
 
 # Normalized Loewner slack.  Quadrature and eigensolver noise stays below
@@ -183,7 +184,7 @@ TRACE = NormKind("trace")
 
 
 def kyfan(k: int) -> NormKind:
-    return NormKind("kyfan", int(k))
+    return NormKind("kyfan", integer(k, "kyfan k"))
 
 
 def uinorm(A, kind: NormKind = OPERATOR):

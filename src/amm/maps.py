@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 from .linalg import as_stack, maxabs
+from .sector import ginibre
 
 VARIANTS = (
     "compression",
@@ -71,17 +72,14 @@ def random_map(dim_in: int, dim_out: int, variant: str, seed: int) -> PositiveLi
     """
     if variant not in VARIANTS:
         raise ParameterError(f"unknown map variant {variant!r}")
-    if dim_in < 1 or dim_out < 1:
+    if min(integer(dim_in, "dim_in"), integer(dim_out, "dim_out")) < 1:
         raise ParameterError("map dimensions must be positive")
-    rng = np.random.default_rng((seed, 0x6D61, dim_in, dim_out))
+    rng = np.random.default_rng((integer(seed, "seed"), 0x6D61, dim_in, dim_out))
     if variant in ("compression", "kraus", "kraus_nonunital"):
         k = 1 if variant == "compression" else 2
         if dim_out > k * dim_in:
             raise ParameterError(f"{variant} requires dim_out <= {k} * dim_in")
-        G = rng.standard_normal((k * dim_in, dim_out)) + 1j * rng.standard_normal(
-            (k * dim_in, dim_out)
-        )
-        W, _ = np.linalg.qr(G)
+        W, _ = np.linalg.qr(ginibre((k * dim_in, dim_out), rng))
         ops = tuple(W[i * dim_in:(i + 1) * dim_in, :] for i in range(k))
         if variant == "kraus_nonunital":
             scale = np.sqrt(rng.uniform(0.25, 0.75))
@@ -96,7 +94,7 @@ def random_map(dim_in: int, dim_out: int, variant: str, seed: int) -> PositiveLi
         if dim_out != 1:
             raise ParameterError(f"{variant} maps to 1x1 matrices")
         if variant == "vector_state":
-            x = rng.standard_normal(dim_in) + 1j * rng.standard_normal(dim_in)
+            x = ginibre(dim_in, rng)
             ops = ((x / np.linalg.norm(x))[:, None],)
         else:
             ops = tuple(np.eye(dim_in, dtype=np.complex128)[:, :, None] / np.sqrt(dim_in))

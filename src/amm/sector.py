@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 from .linalg import as_stack, diag_matrix, hermitian, imaginary_part, require_accretive
 from .linalg import is_accretive  # noqa: F401
 
@@ -41,15 +41,15 @@ class EnsembleSpec:
     seed: int
 
     def __post_init__(self):
-        if self.dim < 1:
+        if integer(self.dim, "dim") < 1:
             raise ParameterError(f"dim must be >= 1, got {self.dim}")
         if not 0.0 <= self.alpha_max < math.pi / 2:
             raise ParameterError(f"alpha_max must be in [0, pi/2), got {self.alpha_max}")
-        if not 0.0 < self.m <= self.M:
-            raise ParameterError(f"need 0 < m <= M, got m={self.m}, M={self.M}")
-        if self.count < 1:
+        if not 0.0 < self.m <= self.M < math.inf:
+            raise ParameterError(f"need 0 < m <= M < inf, got m={self.m}, M={self.M}")
+        if integer(self.count, "count") < 1:
             raise ParameterError(f"count must be >= 1, got {self.count}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= integer(self.seed, "seed") < 2**64:
             raise ParameterError("seed must be a 64-bit unsigned integer")
 
 
@@ -78,9 +78,9 @@ def sectorial_angle(A) -> float:
     return certify(A).alpha
 
 
-def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
-    """An n x n complex Ginibre draw: standard normal real, then imaginary, parts."""
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
+    """A complex Gaussian array of the given shape: standard normal real, then imaginary, parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def haar_from(G: np.ndarray) -> np.ndarray:
@@ -92,7 +92,7 @@ def haar_from(G: np.ndarray) -> np.ndarray:
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a complex Ginibre draw."""
-    return haar_from(ginibre(n, rng))
+    return haar_from(ginibre((n, n), rng))
 
 
 def random_sectorial(spec: EnsembleSpec, index) -> np.ndarray:
@@ -110,9 +110,7 @@ def random_sectorial(spec: EnsembleSpec, index) -> np.ndarray:
     if not indices:
         raise ParameterError("random_sectorial needs at least one index")
     for i in indices:
-        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
-            raise ParameterError(f"index {i!r} is not an integer")
-        if i < 0 or i >= spec.count:
+        if not 0 <= integer(i, "index") < spec.count:
             raise ParameterError(f"index {i} outside [0, {spec.count})")
     # Counter-style seeding: a pure function of (seed, index), so ensemble
     # members are independent of iteration order and safe to parallelize.
@@ -120,12 +118,12 @@ def random_sectorial(spec: EnsembleSpec, index) -> np.ndarray:
     rngs = [np.random.default_rng((spec.seed, 0, i)) for i in indices]
     n = spec.dim
     p = np.array([rng.uniform(spec.m, spec.M, size=n) for rng in rngs])
-    U = haar_from(np.array([ginibre(n, rng) for rng in rngs]))
+    U = haar_from(np.array([ginibre((n, n), rng) for rng in rngs]))
     # exact Hermitian square root of P
     S = hermitian(U @ diag_matrix(np.sqrt(p)) @ U.conj().swapaxes(-1, -2))
     A = hermitian(S @ S)
     if spec.alpha_max != 0.0:
-        T = hermitian(np.array([ginibre(n, rng) for rng in rngs]))
+        T = hermitian(np.array([ginibre((n, n), rng) for rng in rngs]))
         u = [rng.uniform(0.0, 1.0) for rng in rngs]
         tnorm = np.abs(np.linalg.eigvalsh(T)).max(axis=-1).tolist()
         scale = [ui * math.tan(spec.alpha_max) / t if t > 0.0 else 1.0 for ui, t in zip(u, tnorm)]

@@ -197,11 +197,8 @@ class _Stack:
 
     def unit_vector(self) -> np.ndarray:
         n = self.A.shape[-1]
-        xs = []
-        for rng in self.rngs:
-            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            xs.append(x / np.linalg.norm(x))
-        return np.array(xs)
+        xs = [sector.ginibre(n, rng) for rng in self.rngs]
+        return np.array([x / np.linalg.norm(x) for x in xs])
 
     def psd_bump(self) -> np.ndarray:
         # Hermitian PSD perturbation; keeps the perturbed operand in the
@@ -209,7 +206,7 @@ class _Stack:
         n = self.A.shape[-1]
         G, d = [], []
         for rng, M in zip(self.rngs, self.M.tolist()):
-            G.append(sector.ginibre(n, rng))
+            G.append(sector.ginibre((n, n), rng))
             d.append(rng.uniform(0.0, M, size=n))
         U = sector.haar_from(np.array(G))
         return _H(U @ diag_matrix(np.array(d)) @ U.conj().swapaxes(-1, -2))
@@ -220,8 +217,8 @@ class _Stack:
         n = self.A.shape[-1]
         G, H, d = [], [], []
         for rng in self.rngs:
-            G.append(sector.ginibre(n, rng))
-            H.append(sector.ginibre(n, rng))
+            G.append(sector.ginibre((n, n), rng))
+            H.append(sector.ginibre((n, n), rng))
             d.append(rng.uniform(0.5, 2.0, size=n))
         U, V = sector.haar_from(np.array(G)), sector.haar_from(np.array(H))
         return U @ diag_matrix(np.array(d)) @ V.conj().swapaxes(-1, -2)
@@ -501,7 +498,7 @@ class CheckDef:
     needs_norm: bool = False
 
 
-_DEFS = (
+_SECTORIAL = {d.id: d for d in (
     CheckDef("real_superadditive", _ev_real_superadditive, needs_f=True),
     CheckDef("real_sector_reverse", _ev_real_sector_reverse, needs_f=True),
     CheckDef("amgmhm", _ev_amgmhm, needs_f=True),
@@ -539,27 +536,31 @@ _DEFS = (
     CheckDef("ando_zhan", _ev_ando_zhan, needs_f=True, needs_norm=True),
     CheckDef("f_nabla_norm", _ev_f_nabla_norm, needs_f=True, needs_norm=True),
     CheckDef("norm_of_sigma", _ev_norm_of_sigma, needs_f=True, needs_norm=True),
-    # Classical checks: all but pos_sharpando and pos_ab_norm reuse a sectorial
-    # evaluator, read on an alpha = 0 ensemble where every sec/cos factor is 1.
-    CheckDef("pos_jensen", _ev_f_inner, ensemble="positive", needs_f=True),
-    CheckDef("pos_sigma_inner", _ev_sigma_inner, ensemble="positive", needs_f=True),
-    CheckDef("pos_sigma_norm", _ev_norm_of_sigma, ensemble="positive", needs_f=True,
-             needs_norm=True),
-    CheckDef("pos_amgmhm", _ev_amgmhm, ensemble="positive", needs_f=True),
-    CheckDef("pos_ando", _ev_ando_sector, ensemble="positive", needs_f=True,
-             map_kind="positive"),
-    CheckDef("pos_choi", _ev_choi_sector, ensemble="positive", needs_f=True,
-             map_kind="unital"),
-    CheckDef("pos_ando_hiai", _ev_f_sharp_nabla, ensemble="positive", needs_f=True),
-    CheckDef("pos_f_norm", _ev_f_norm_lower, ensemble="positive", needs_f=True,
-             needs_norm=True),
-    CheckDef("pos_ando_zhan", _ev_ando_zhan, ensemble="positive", needs_f=True,
-             needs_norm=True),
-    CheckDef("pos_gumus", _ev_gumus_a, ensemble="positive"),
+)}
+
+
+def _classical(check_id: str, twin: str) -> CheckDef:
+    """The sectorial check twin, read on an alpha = 0 ensemble where every sec/cos factor is 1."""
+    return replace(_SECTORIAL[twin], id=check_id, ensemble="positive")
+
+
+# Classical checks: all but pos_sharpando and pos_ab_norm are a sectorial twin.
+_DEFS = (
+    *_SECTORIAL.values(),
+    _classical("pos_jensen", "f_inner"),
+    _classical("pos_sigma_inner", "sigma_inner"),
+    _classical("pos_sigma_norm", "norm_of_sigma"),
+    _classical("pos_amgmhm", "amgmhm"),
+    _classical("pos_ando", "ando_sector"),
+    _classical("pos_choi", "choi_sector"),
+    _classical("pos_ando_hiai", "f_sharp_nabla"),
+    _classical("pos_f_norm", "f_norm_lower"),
+    _classical("pos_ando_zhan", "ando_zhan"),
+    _classical("pos_gumus", "gumus_a"),
     CheckDef("pos_sharpando", _ev_pos_sharpando, kind="identity", ensemble="positive"),
-    CheckDef("pos_ts", _ev_mixed_ns, ensemble="positive"),
+    _classical("pos_ts", "mixed_ns"),
     CheckDef("pos_ab_norm", _ev_pos_ab_norm, ensemble="positive", needs_norm=True),
-    CheckDef("pos_concave", _ev_f_nabla, ensemble="positive", needs_f=True),
+    _classical("pos_concave", "f_nabla"),
 )
 
 REGISTRY: dict[str, CheckDef] = {d.id: d for d in _DEFS}

@@ -303,6 +303,14 @@ class TestDunford:
         with pytest.raises(ParameterError, match="integer"):
             dunford_apply(catalog("power", 0.5), A, contour)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 50.0, -10.0])
+    def test_contour_off_the_sector_refused(self, c):
+        # a NaN centre returned NaNs, and c = 50 about 5e-6 for sqrt(diag(1, 4))
+        A = np.diag([1.0, 4.0]).astype(complex)
+        contour = dataclasses.replace(choose_contour(A), c=c)
+        with pytest.raises(ParameterError, match="does not enclose the sector of A"):
+            dunford_apply(catalog("power", 0.5), A, contour)
+
     def test_affine_exact(self):
         A = np.array([[2 + 1j, 0.4], [0.2, 3.0]])
         f = catalog("arithmetic", 0.3)
@@ -536,10 +544,10 @@ class TestResolventSums:
             return solve_stack(stack)
 
         monkeypatch.setattr(funcalc, "solve_stack", counting)
-        X, plan = funcalc._sigma(A, B, measures)
+        X, (orders, scales) = funcalc._sigma(A, B, measures)
         # the pair's inversion, then the atoms
         assert batches == [10, 5]
-        assert plan == (0, 1.0)
+        assert orders.tolist() == [0] * 5 and scales.tolist() == [1.0] * 5
         for k in range(5):
             assert np.array_equal(X[k], funcalc._sigma(A[k], B[k], measures[k])[0]), f"sample {k}"
 

@@ -211,6 +211,12 @@ class TestNorms:
             assert norms[k] == linalg.uinorm(A[k], kind)
             assert np.array_equal(linalg.singular_values(A)[k], linalg.singular_values(A[k]))
 
+    @pytest.mark.parametrize("k", [2.7, 2.0, True])
+    def test_kyfan_non_integer_refused(self, k):
+        # kyfan(2.7) was silently kyfan(2)
+        with pytest.raises(ParameterError, match=rf"kyfan k must be an integer, got {k!r}"):
+            linalg.kyfan(k)
+
     def test_parse(self):
         assert linalg.NormKind.parse("kyfan(3)") == linalg.kyfan(3)
         assert linalg.NormKind.parse("operator") == linalg.OPERATOR

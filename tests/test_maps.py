@@ -139,6 +139,14 @@ class TestStructure:
         with pytest.raises(ParameterError):
             random_map(3, 1, "haar", 0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((2, 2, "kraus", 1.5), "seed"), ((2.0, 2, "kraus", 1), "dim_in"),
+        ((2, True, "pinching", 1), "dim_out"), ((3, 1, "vector_state", "0"), "seed")])
+    def test_non_integer_argument_is_named(self, args, name):
+        # random_map(2, 2, "kraus", 1.5) was a TypeError from the generator
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            random_map(*args)
+
 
 class TestClassicalInequalities:
     def test_choi_on_pd(self):

@@ -158,6 +158,26 @@ class TestGenerator:
         with pytest.raises(ParameterError):
             random_sectorial(spec, 3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 2.0), ("dim", True), ("count", 3.5), ("seed", 1.5), ("seed", "7")])
+    def test_non_integer_spec_field_is_named(self, field, value):
+        # refused when the spec is made, not by a TypeError in the draw or the check
+        with pytest.raises(ParameterError,
+                           match=rf"{field} must be an integer, got {re.escape(repr(value))}"):
+            EnsembleSpec(**{"dim": 2, "alpha_max": 0.5, "m": 1.0, "M": 2.0, "count": 3,
+                            "seed": 1, field: value})
+
+    def test_numpy_integer_spec_fields_draw(self):
+        spec = EnsembleSpec(dim=np.int64(2), alpha_max=0.5, m=1.0, M=2.0, count=np.int32(3),
+                            seed=np.uint64(1))
+        assert np.array_equal(random_sectorial(spec, 2), random_sectorial(spec_for(2, 0.5, 3, 1), 2))
+
+    @pytest.mark.parametrize("M", [math.inf, math.nan])
+    def test_non_finite_M_refused(self, M):
+        # M = inf used to pass and overflow in the draw
+        with pytest.raises(ParameterError, match="need 0 < m <= M < inf"):
+            spec_for(2, 0.5, M=M)
+
     def test_pd_scalar(self):
         spec = spec_for(1, 0.0, count=1, m=2.0, M=2.0)
         np.testing.assert_allclose(random_pd(spec, 0), [[2.0]])
@@ -178,7 +198,7 @@ def _one_matrix_draw(spec, index):
     P = linalg.hermitian(S @ S)
     if spec.alpha_max == 0.0:
         return P
-    T = linalg.hermitian(sector.ginibre(n, rng))
+    T = linalg.hermitian(sector.ginibre((n, n), rng))
     u = rng.uniform(0.0, 1.0)
     T = T * (u * math.tan(spec.alpha_max) / float(np.max(np.abs(np.linalg.eigvalsh(T)))))
     return P + 1j * linalg.hermitian(S @ T @ S)
@@ -209,7 +229,7 @@ class TestStackedDraw:
                                               (np.float64(3.0), "np.float64(3.0)"),
                                               ([0, True], "True"), ("1", "'1'")])
     def test_non_integer_index_is_named(self, indices, bad):
-        with pytest.raises(ParameterError, match=rf"index {re.escape(bad)} is not an integer"):
+        with pytest.raises(ParameterError, match=rf"index must be an integer, got {re.escape(bad)}"):
             random_sectorial(spec_for(3, math.pi / 6, count=6), indices)
 
     def test_numpy_integer_indices_draw(self):
