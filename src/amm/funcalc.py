@@ -258,7 +258,7 @@ def measure_mean(measure: MeasureSpec) -> float:
 
 @dataclass(frozen=True)
 class MonotoneFunction:
-    """A normalized matrix monotone function and its representing measure."""
+    """A normalized matrix monotone function and its measure, which construction checks."""
 
     name: str
     measure: MeasureSpec
@@ -266,33 +266,22 @@ class MonotoneFunction:
     derivative_at_one: float
     param: float | None = None
 
+    def __post_init__(self):
+        mass = measure_mass(self.measure)
+        if abs(mass - 1.0) > 1e-10:
+            raise ParameterError(f"measure mass {mass} is not 1")
+        mean = measure_mean(self.measure)
+        if abs(mean - self.derivative_at_one) > 1e-10:
+            raise ParameterError(f"measure mean {mean} != f'(1) = {self.derivative_at_one}")
+        f1 = complex(np.asarray(self.scalar_form(1.0 + 0.0j)).reshape(()))
+        if abs(f1 - 1.0) > 1e-12:
+            raise ParameterError(f"f(1) = {f1} violates the normalization f(1) = 1")
+
     def describe(self) -> dict:
         return {"name": self.name, "param": self.param}
 
     def __str__(self):
         return self.name if self.param is None else f"{self.name}({self.param:g})"
-
-
-def _power_scalar(lam: float):
-    def f(z):
-        return np.power(np.asarray(z, dtype=np.complex128), lam)
-
-    return f
-
-
-def _arithmetic_scalar(t: float):
-    def f(z):
-        return (1.0 - t) + t * np.asarray(z, dtype=np.complex128)
-
-    return f
-
-
-def _harmonic_scalar(t: float):
-    def f(z):
-        z = np.asarray(z, dtype=np.complex128)
-        return 1.0 / ((1.0 - t) + t / z)
-
-    return f
 
 
 def _uniform_scalar(z):
@@ -312,25 +301,6 @@ def _uniform_scalar(z):
     return out[0] if scalar else out
 
 
-def _make_function(name, measure, scalar_form, derivative_at_one, param=None) -> MonotoneFunction:
-    mass = measure_mass(measure)
-    if abs(mass - 1.0) > 1e-10:
-        raise ParameterError(f"measure mass {mass} is not 1")
-    mean = measure_mean(measure)
-    if abs(mean - derivative_at_one) > 1e-10:
-        raise ParameterError(f"measure mean {mean} != f'(1) = {derivative_at_one}")
-    f1 = complex(np.asarray(scalar_form(1.0 + 0.0j)).reshape(()))
-    if abs(f1 - 1.0) > 1e-12:
-        raise ParameterError(f"f(1) = {f1} violates the normalization f(1) = 1")
-    return MonotoneFunction(
-        name=name,
-        measure=measure,
-        scalar_form=scalar_form,
-        derivative_at_one=float(derivative_at_one),
-        param=param,
-    )
-
-
 CATALOG_NAMES = ("power", "arithmetic", "harmonic", "uniform")
 
 
@@ -339,32 +309,36 @@ def catalog(name: str, param: float | None = None) -> MonotoneFunction:
 
     power(lam) carries the density sin(lam pi)/pi * t^(lam-1) (1-t)^(-lam);
     arithmetic(t) the endpoint atoms {(0, 1-t), (1, t)}; harmonic(t) the
-    single atom {(t, 1)}; uniform the flat density on [0, 1].
+    single atom {(t, 1)}; uniform the flat density on [0, 1].  Each
+    (name, param) is built and checked once: the same object comes back for
+    it, and for a numpy scalar or 0-d array of the same value.
     """
-    if name == "power":
-        if param is None or not 0.0 < param < 1.0:
-            raise ParameterError(f"power requires lambda in (0, 1), got {param}")
-        lam = float(param)
-        density = DensitySpec(coeff=math.sin(lam * math.pi) / math.pi, exp0=lam - 1.0, exp1=-lam)
-        return _make_function("power", MeasureSpec(density=density), _power_scalar(lam), lam, lam)
-    if name == "arithmetic":
-        if param is None or not 0.0 < param < 1.0:
-            raise ParameterError(f"arithmetic requires t in (0, 1), got {param}")
-        t = float(param)
-        measure = MeasureSpec(atoms=((0.0, 1.0 - t), (1.0, t)))
-        return _make_function("arithmetic", measure, _arithmetic_scalar(t), t, t)
-    if name == "harmonic":
-        if param is None or not 0.0 < param < 1.0:
-            raise ParameterError(f"harmonic requires t in (0, 1), got {param}")
-        t = float(param)
-        measure = MeasureSpec(atoms=((t, 1.0),))
-        return _make_function("harmonic", measure, _harmonic_scalar(t), t, t)
+    return _catalog(name, np.asarray(param).item())
+
+
+@lru_cache(maxsize=256)
+def _catalog(name: str, param) -> MonotoneFunction:
     if name == "uniform":
         if param is not None:
             raise ParameterError("uniform takes no parameter")
         measure = MeasureSpec(density=DensitySpec(coeff=1.0, exp0=0.0, exp1=0.0))
-        return _make_function("uniform", measure, _uniform_scalar, 0.5)
-    raise ParameterError(f"unknown catalog function {name!r}")
+        return MonotoneFunction("uniform", measure, _uniform_scalar, 0.5)
+    if name not in CATALOG_NAMES:
+        raise ParameterError(f"unknown catalog function {name!r}")
+    if param is None or not 0.0 < param < 1.0:
+        symbol = "lambda" if name == "power" else "t"
+        raise ParameterError(f"{name} requires {symbol} in (0, 1), got {param}")
+    p = float(param)
+    if name == "power":
+        density = DensitySpec(coeff=math.sin(p * math.pi) / math.pi, exp0=p - 1.0, exp1=-p)
+        return MonotoneFunction("power", MeasureSpec(density=density),
+                                lambda z: np.power(np.asarray(z, dtype=np.complex128), p), p, p)
+    if name == "arithmetic":
+        return MonotoneFunction("arithmetic", MeasureSpec(atoms=((0.0, 1.0 - p), (1.0, p))),
+                                lambda z: (1.0 - p) + p * np.asarray(z, dtype=np.complex128), p, p)
+    return MonotoneFunction("harmonic", MeasureSpec(atoms=((p, 1.0),)),
+                            lambda z: 1.0 / ((1.0 - p) + p / np.asarray(z, dtype=np.complex128)),
+                            p, p)
 
 
 def standard_catalog() -> tuple[MonotoneFunction, ...]:

@@ -165,17 +165,23 @@ class NormKind:
     tag: str
     k: int = 0
 
+    def __post_init__(self):
+        if self.tag not in ("operator", "frobenius", "trace", "kyfan"):
+            raise ParameterError(f"unknown norm kind: {self.tag!r}")
+        if self.tag == "kyfan" and integer(self.k, "kyfan k") < 1:
+            raise ParameterError(f"kyfan k must be >= 1, got {self.k}")
+        if self.tag != "kyfan" and self.k != 0:
+            raise ParameterError(f"{self.tag} norm takes no k, got {self.k!r}")
+
     def __str__(self):
         return f"kyfan({self.k})" if self.tag == "kyfan" else self.tag
 
     @staticmethod
     def parse(text: str) -> "NormKind":
         text = text.strip()
-        if text in ("operator", "frobenius", "trace"):
-            return NormKind(text)
         if text.startswith("kyfan(") and text.endswith(")"):
             return NormKind("kyfan", int(text[6:-1]))
-        raise ParameterError(f"unknown norm kind: {text!r}")
+        return NormKind(text)
 
 
 OPERATOR = NormKind("operator")
@@ -184,7 +190,7 @@ TRACE = NormKind("trace")
 
 
 def kyfan(k: int) -> NormKind:
-    return NormKind("kyfan", integer(k, "kyfan k"))
+    return NormKind("kyfan", k)
 
 
 def uinorm(A, kind: NormKind = OPERATOR):
@@ -197,11 +203,10 @@ def uinorm(A, kind: NormKind = OPERATOR):
         return np.sqrt(np.sum(sv * sv, axis=-1))
     if kind.tag == "trace":
         return np.sum(sv, axis=-1)
-    if kind.tag == "kyfan":
-        if not 1 <= kind.k <= n:
-            raise ParameterError(f"kyfan k={kind.k} outside [1, {n}]")
-        return np.sum(sv[..., n - kind.k:], axis=-1)
-    raise ParameterError(f"unknown norm kind: {kind.tag!r}")
+    # the kyfan norm, whose k >= 1 NormKind has checked
+    if kind.k > n:
+        raise ParameterError(f"kyfan k={kind.k} outside [1, {n}]")
+    return np.sum(sv[..., n - kind.k:], axis=-1)
 
 
 def opnorm(A):

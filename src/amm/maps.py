@@ -30,12 +30,20 @@ VARIANTS = (
 
 @dataclass(frozen=True, eq=False)
 class PositiveLinearMap:
-    """A completely positive map Phi: M_n -> M_r given by its Kraus factors."""
+    """A completely positive map Phi: M_n -> M_r given by its Kraus factors, checked as built."""
 
     variant: str
     dim_in: int
     dim_out: int
     operators: tuple   # Kraus factors V_k, each dim_in x dim_out
+
+    def __post_init__(self):
+        if min(integer(self.dim_in, "dim_in"), integer(self.dim_out, "dim_out")) < 1:
+            raise ParameterError("map dimensions must be positive")
+        shapes = sorted({np.shape(V) for V in self.operators})
+        if shapes != [(self.dim_in, self.dim_out)]:
+            raise ParameterError(f"Kraus factors must be {self.dim_in} x {self.dim_out}, "
+                                 f"got shapes {shapes}")
 
     def describe(self) -> dict:
         return {"variant": self.variant, "dim_in": self.dim_in, "dim_out": self.dim_out}

@@ -35,10 +35,6 @@ from .funcalc import MeasureSpec, MonotoneFunction, catalog
 from .linalg import as_matrix, principal_sqrt, require_accretive, solve_stack
 
 
-# the measure of z^(1/2): the arcsine law 1/pi * u^-1/2 (1-u)^-1/2 du
-_HALF = catalog("power", 0.5).measure
-
-
 def _pair(A, B):
     """The operand pair as matrices of equal shape."""
     A = as_matrix(A)
@@ -148,7 +144,7 @@ def drury_half(A, B) -> np.ndarray:
     geometric_mean(A, B, 1/2) within 1e-7.
     """
     A, B = _operands(A, B)
-    S, _ = funcalc._integrate(B, A, _HALF)
+    S, _ = funcalc._integrate(B, A, catalog("power", 0.5).measure)
     return solve_stack(S[None])[0]
 
 

@@ -5,7 +5,7 @@ sectorial with half-angle alpha when its numerical range sits inside
 S_alpha = {z : Re z > 0, |Im z| <= tan(alpha) Re z}.  This module certifies
 (alpha, m, M) for a given matrix and generates reproducible ensembles with
 those quantities controlled exactly.  The accretivity predicate
-(is_accretive, require_accretive) is linalg's, re-exported here.
+is_accretive is linalg's, re-exported here (require_accretive is not).
 """
 
 from __future__ import annotations

@@ -94,11 +94,6 @@ def _each(fn, *columns) -> np.ndarray:
 _T_GRID = np.arange(1, 10) / 10.0
 
 
-@lru_cache(maxsize=64)
-def _power(t: float) -> MonotoneFunction:
-    return catalog("power", t)
-
-
 class _Ensemble:
     """Samples ``indices`` (all of the spec's by default) of a spec: their
     operand pairs as read-only (S, n, n) stacks A, B, Re A, Re B and I (the
@@ -188,7 +183,7 @@ class _Stack:
 
     def sharp(self, X, Y, t):
         """X #_t Y, the weighted geometric mean, for one t or one t per sample."""
-        return self._kernel(X, Y, _per_sample(t, lambda v: _power(v).measure))
+        return self._kernel(X, Y, _per_sample(t, lambda v: catalog("power", v).measure))
 
     # Per-sample randomness: each call draws once from every sample's stream,
     # in sample order, so a sample sees the draws it would see alone.

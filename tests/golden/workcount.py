@@ -10,7 +10,9 @@ numbers; unlike a timing, they do not depend on the load of the host.  The
 largest batch, in complex entries K n^2 of one (K, n, n) stack, shows a
 change of batching in the same way.  It also prints the sha256 of the
 report that ``amm suite --default --samples N --report FILE`` writes, so a
-byte-identical report is one command per side.
+byte-identical report is one command per side, and the counted lines of the
+imported package: its non-blank lines whose first non-space character is not
+``#``, in total and per module.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 from amm import cli, funcalc, linalg, verify
 
@@ -46,6 +49,13 @@ def counted_solves():
         funcalc.solve_stack, verify.solve_stack = saved
 
 
+def counted_lines() -> dict:
+    """Counted lines of each module of the imported amm package, by module name."""
+    return {path.stem: sum(1 for line in path.read_text().splitlines()
+                           if line.strip() and not line.lstrip().startswith("#"))
+            for path in sorted(Path(funcalc.__file__).parent.glob("*.py"))}
+
+
 def main(samples: int) -> None:
     with counted_solves() as tally:
         reports = verify.run_suite(verify.default_suite(samples))
@@ -54,6 +64,9 @@ def main(samples: int) -> None:
     # the bytes cli._cmd_suite writes for --report without --timings
     text = json.dumps(cli._report_payload(reports, with_timing=False), indent=2) + "\n"
     print(f"report sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+    lines = counted_lines()
+    print(f"counted lines {sum(lines.values())}: "
+          + ", ".join(f"{name} {count}" for name, count in lines.items()))
 
 
 if __name__ == "__main__":

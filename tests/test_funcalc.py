@@ -12,6 +12,7 @@ from amm.errors import InvalidInputError, NumericFailureError, ParameterError, P
 from amm.funcalc import (
     DensitySpec,
     MeasureSpec,
+    MonotoneFunction,
     apply_function,
     catalog,
     choose_contour,
@@ -74,6 +75,35 @@ class TestCatalog:
             assert measure_mean(catalog("power", lam).measure) == pytest.approx(
                 lam, abs=1e-10
             )
+
+    def test_one_object_per_name_and_param(self):
+        assert catalog("power", 0.3) is catalog("power", 0.3)
+        assert catalog("uniform") is catalog("uniform")
+        # a numpy scalar or 0-d array finds the entry of its float
+        for p in (np.float64(0.3), np.array(0.3)):
+            assert catalog("power", p) is catalog("power", 0.3)
+        assert catalog("power", np.float32(0.3)).param == float(np.float32(0.3))
+        assert catalog("harmonic", 0.3) is not catalog("power", 0.3)
+
+
+class TestMonotoneFunction:
+    # every MonotoneFunction checks its measure, hand-built ones included
+    IDENTITY = MeasureSpec(atoms=((1.0, 1.0),))
+
+    @pytest.mark.parametrize("measure, scalar_form, derivative, message", [
+        # the atom at 1.5 made sigma_mean(diag(1, 2), diag(4, 3), f) diag(-8, 4)
+        (MeasureSpec(atoms=((1.5, 1.0),)), lambda z: z, 1.0, "atom position 1.5 outside"),
+        (MeasureSpec(atoms=((1.0, 0.5),)), lambda z: z, 0.5, "measure mass 0.5 is not 1"),
+        (IDENTITY, lambda z: 2.0 * z, 1.0, "violates the normalization"),
+        (IDENTITY, lambda z: z, 0.5, r"measure mean 1.0 != f'\(1\) = 0.5"),
+    ], ids=["atom-outside", "half-mass", "f1", "mean"])
+    def test_refused(self, measure, scalar_form, derivative, message):
+        with pytest.raises(ParameterError, match=message):
+            MonotoneFunction("bad", measure, scalar_form, derivative)
+
+    def test_hand_built_identity_accepted(self):
+        f = MonotoneFunction("identity", self.IDENTITY, lambda z: z, 1.0)
+        assert scalar_eval(f, 2.0) == 2.0
 
 
 class TestQuadrature:
@@ -389,6 +419,8 @@ class TestAdaptiveOrder:
         orders, rule = [], funcalc.gauss_jacobi_rule
         monkeypatch.setattr(funcalc, "gauss_jacobi_rule",
                             lambda e0, e1, k: orders.append(k) or rule(e0, e1, k))
+        # the integral's node tables, left by earlier tests, would skip the rules
+        funcalc._nodes.cache_clear()
         A = random_sectorial(EnsembleSpec(dim=8, alpha_max=0.0, m=1.0, M=1e4, count=1, seed=3), 0)
         want = fractional_matrix_power(A, lam)
         assert maxabs(apply_function(catalog("power", lam), A) - want) <= 1.5e-13 * maxabs(want)

@@ -223,6 +223,31 @@ class TestNorms:
         with pytest.raises(ParameterError):
             linalg.NormKind.parse("nuclear")
 
+    # NormKind checks itself, so a bad kind fails where it is made, not in uinorm
+    def test_kyfan_fractional_k_refused(self):
+        # NormKind("kyfan", 1.5) was a raw TypeError (slice indices) in uinorm
+        with pytest.raises(ParameterError, match="kyfan k must be an integer, got 1.5"):
+            linalg.NormKind("kyfan", 1.5)
+
+    def test_kyfan_boolean_k_refused(self):
+        # NormKind("kyfan", True) was read as k = 1
+        with pytest.raises(ParameterError, match="kyfan k must be an integer, got True"):
+            linalg.NormKind("kyfan", True)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_kyfan_k_below_one_refused(self, k):
+        with pytest.raises(ParameterError, match=f"kyfan k must be >= 1, got {k}"):
+            linalg.NormKind("kyfan", k)
+
+    def test_unknown_tag_refused(self):
+        # NormKind("bogus") was accepted until uinorm met it
+        with pytest.raises(ParameterError, match="unknown norm kind: 'bogus'"):
+            linalg.NormKind("bogus")
+
+    def test_k_of_other_tags_refused(self):
+        with pytest.raises(ParameterError, match="operator norm takes no k, got 2"):
+            linalg.NormKind("operator", 2)
+
 
 class TestLoewner:
     def test_strict(self):

@@ -139,6 +139,19 @@ class TestStructure:
         with pytest.raises(ParameterError):
             random_map(3, 1, "haar", 0)
 
+    @pytest.mark.parametrize("dim_in, dim_out, operators, message", [
+        (2, 3, (np.ones((2, 2)),), r"must be 2 x 3, got shapes \[\(2, 2\)\]"),
+        (2, 2, (np.eye(2), np.ones((2, 3))), "must be 2 x 2"),
+        (2, 1, (), r"got shapes \[\]"),
+        (0, 1, (np.ones((0, 1)),), "dimensions must be positive"),
+        (2.0, 1, (np.ones((2, 1)),), "dim_in must be an integer"),
+    ], ids=["shape", "second-factor", "empty", "dim-zero", "dim-float"])
+    def test_constructor_checks_factors(self, dim_in, dim_out, operators, message):
+        # a 2 x 2 factor was accepted as 2 -> 3: apply_map gave 2 x 2
+        # results while describe() reported dim_out 3
+        with pytest.raises(ParameterError, match=message):
+            maps.PositiveLinearMap("kraus", dim_in, dim_out, operators=operators)
+
     @pytest.mark.parametrize("args, name", [
         ((2, 2, "kraus", 1.5), "seed"), ((2.0, 2, "kraus", 1), "dim_in"),
         ((2, True, "pinching", 1), "dim_out"), ((3, 1, "vector_state", "0"), "seed")])
