@@ -44,7 +44,6 @@ from . import linalg
 from .errors import InvalidInputError, NumericFailureError, ParameterError, integer
 from .linalg import (
     as_matrix,
-    is_accretive,
     read_only,
     require_accretive,
     solve_stack,
@@ -311,8 +310,11 @@ def catalog(name: str, param: float | None = None) -> MonotoneFunction:
     arithmetic(t) the endpoint atoms {(0, 1-t), (1, t)}; harmonic(t) the
     single atom {(t, 1)}; uniform the flat density on [0, 1].  Each
     (name, param) is built and checked once: the same object comes back for
-    it, and for a numpy scalar or 0-d array of the same value.
+    it, and for a numpy scalar or 0-d array of the same value.  A param
+    that is not a real number raises ParameterError.
     """
+    if param is not None and (np.ndim(param) or np.asarray(param).dtype.kind not in "iuf"):
+        raise ParameterError(f"{name} parameter must be a real number, got {param!r}")
     return _catalog(name, np.asarray(param).item())
 
 
@@ -557,10 +559,10 @@ def apply_function(f: MonotoneFunction, A) -> np.ndarray:
     turn.  The quadrature order is chosen by doubling until the result moves
     by at most 1e-8 relative (pure-atom measures are exact and skip it).
     """
-    A = require_accretive(as_matrix(A))
-    eye = np.eye(A.shape[0], dtype=np.complex128)
-    F, _ = _sigma(eye, A, f.measure)
-    ok, margin = is_accretive(F)
+    A = as_matrix(A)
+    require_accretive(A)
+    F, _ = _sigma(np.eye(A.shape[0], dtype=np.complex128), A, f.measure)
+    ok, margin, _ = linalg._accretivity(F)
     if not ok:
         raise NumericFailureError(
             f"f(A) lost accretivity (margin {margin:.3e}); input likely ill-conditioned"
@@ -585,8 +587,8 @@ class DunfordContour:
 def choose_contour(A) -> DunfordContour:
     """Ellipse in the log plane around the numerical range of accretive A.
 
-    W(A) lies in {Re z >= m, |z| <= ||A||, |arg z| <= alpha} (m and alpha
-    from sector.certify), whose logarithm lies in the rectangle
+    W(A) lies in {Re z >= m, |z| <= ||A||, |arg z| <= alpha} (m, ||A|| and
+    alpha from sector.certify), whose logarithm lies in the rectangle
     [log m, log ||A||] x [-alpha, alpha] of center c and half-width h.  The
     confocal ellipses c + d cos(theta - i eta) contain the rectangle from
     eta_in on, where C = cosh^2 eta_in is the larger root of
@@ -598,9 +600,8 @@ def choose_contour(A) -> DunfordContour:
     (Trefethen & Weideman, SIAM Review 56, 2014); nodes is 10% above the
     count where that reaches 1e-12, rounded up to a multiple of 8.
     """
-    A = as_matrix(A)
-    cert = certify(A)
-    lo, hi = math.log(cert.m), math.log(linalg.opnorm(A))
+    cert = certify(as_matrix(A))
+    lo, hi = math.log(cert.m), math.log(cert.norm)
     c, h, a = (lo + hi) / 2.0, (hi - lo) / 2.0, cert.alpha
     d = np.geomspace(1e-3, 1e3, 241) * max(h, a, 1e-3)
     # the discriminant (d^2 + h^2 + a^2)^2 - 4 d^2 h^2, written without cancellation
@@ -636,7 +637,7 @@ def dunford_apply(f: MonotoneFunction, A, contour: DunfordContour) -> np.ndarray
     if not (d > 0.0 and eta > 0.0 and d * math.sinh(eta) < math.pi):
         raise ParameterError("contour ellipse must stay in |Im log z| < pi")
     # the corners (x, +-alpha) for x = log m and log ||A||
-    x = np.array([math.log(cert.m), math.log(linalg.opnorm(A))]) - contour.c
+    x = np.array([math.log(cert.m), math.log(cert.norm)]) - contour.c
     y = cert.alpha / (d * math.sinh(eta))
     if not np.all((x / (d * math.cosh(eta))) ** 2 + y * y < 1.0):
         raise ParameterError(f"contour ellipse centred at {contour.c} does not enclose "

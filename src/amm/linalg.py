@@ -250,36 +250,42 @@ def loewner_leq(X, Y) -> LoewnerVerdict:
     return LoewnerVerdict(margin=margin, holds=margin >= -TAU_LOEWNER)
 
 
-def is_accretive(A, lowest=None):
-    """Whether Re A is positive definite, with a normalized margin.
+def _accretivity(A, lowest=None):
+    """(verdict, margin, ||A||_op) of a converted matrix or stack: the one accretivity test.
 
-    margin = lambda_min(Re A) / (1 + ||A||_op); accretive iff the margin
-    exceeds the Loewner slack (strict positivity).  For a stack both are
-    arrays of its leading shape.  The package's one accretivity predicate.
-    lowest, when given, is lambda_min(Re A) from the caller's own
-    eigensolve of Re A, taken instead of a second one.
+    margin = lambda_min(Re A) / (1 + ||A||_op), lambda_min from one eigvalsh of
+    Re A unless the caller's own is given as lowest, and ||A||_op from one SVD;
+    accretive iff the margin exceeds the Loewner slack.  Arrays for a stack.
     """
-    A = as_stack(A)
     if lowest is None:
         lowest = np.linalg.eigvalsh(hermitian(A))[..., 0]
-    margin = lowest / (1.0 + opnorm(A))
-    return margin > TAU_LOEWNER, margin
+    norm = np.linalg.svd(A, compute_uv=False)[..., 0]
+    margin = lowest / (1.0 + norm)
+    return margin > TAU_LOEWNER, margin, norm[()]
 
 
-def require_accretive(A, name: str = "matrix", lowest=None) -> np.ndarray:
-    """A as a complex matrix or stack; PreconditionError naming ``name`` unless all accretive.
+def is_accretive(A):
+    """Whether Re A is positive definite, with the margin of _accretivity; arrays for a stack."""
+    return _accretivity(as_stack(A))[:2]
 
-    lowest is passed to is_accretive.
-    """
-    A = as_stack(A)
-    ok, margin = is_accretive(A, lowest)
+
+def require_accretive(A, name: str = "matrix", lowest=None):
+    """||A||_op of a converted matrix or stack; PreconditionError naming ``name`` unless accretive."""
+    ok, margin, norm = _accretivity(A, lowest)
     if not ok.all():
         raise PreconditionError(f"{name} is not accretive (margin {np.min(margin):.3e})")
-    return A
+    return norm
 
 
 def principal_sqrt(A) -> np.ndarray:
-    """Principal square root of an accretive matrix.
+    """Principal square root of an accretive matrix (see _denman_beavers)."""
+    A = as_matrix(A)
+    require_accretive(A, "principal_sqrt operand")
+    return _denman_beavers(A)
+
+
+def _denman_beavers(A: np.ndarray) -> np.ndarray:
+    """Principal square root of a converted matrix already judged accretive, unchecked.
 
     Denman-Beavers iteration on A s^2, where s = 2^-k and
     k = floor(log2(max|A|)/2 + 1/2) put max|A s^2| in [1/2, 2): X0 = A s^2,
@@ -289,7 +295,6 @@ def principal_sqrt(A) -> np.ndarray:
     satisfies max|X^2 - A| <= 1e-9 * (1 + max|A|), tested times s^2 so that
     it cannot overflow, and has spectrum in the open right half-plane.
     """
-    A = require_accretive(as_matrix(A), "principal_sqrt operand")
     k = math.floor(math.log2(maxabs(A)) / 2.0 + 0.5)
     s2 = 2.0 ** (-2 * k)
     X = As = A * s2

@@ -32,7 +32,7 @@ import numpy as np
 from . import funcalc
 from .errors import NumericFailureError, ParameterError
 from .funcalc import MeasureSpec, MonotoneFunction, catalog
-from .linalg import as_matrix, principal_sqrt, require_accretive, solve_stack
+from .linalg import _denman_beavers, as_matrix, require_accretive, solve_stack
 
 
 def _pair(A, B):
@@ -45,9 +45,11 @@ def _pair(A, B):
 
 
 def _operands(A, B):
-    """The operand pair as accretive matrices of equal shape."""
+    """The operand pair as accretive matrices of equal shape, each converted and judged once."""
     A, B = _pair(A, B)
-    return require_accretive(A, "A"), require_accretive(B, "B")
+    require_accretive(A, "A")
+    require_accretive(B, "B")
+    return A, B
 
 
 def harmonic_mean(A, B, t: float) -> np.ndarray:
@@ -79,11 +81,11 @@ def sigma_mean(A, B, f: MonotoneFunction) -> np.ndarray:
 def _congruence(A, B, f: MonotoneFunction, plan=None):
     """(S, F) = (A^{1/2}, f(A^{-1/2} B A^{-1/2})) of the congruence route.
 
-    The inner matrix is generally not accretive, but its spectrum avoids
-    (-inf, 0] whenever A and B are accretive, so the harmonic-mean integral
-    for f still applies; a given plan is used as is.
+    A and B come judged by _operands.  The inner matrix is generally not
+    accretive, but its spectrum avoids (-inf, 0] whenever A and B are, so
+    the harmonic-mean integral for f still applies; a given plan is used as is.
     """
-    S = principal_sqrt(A)
+    S = _denman_beavers(A)
     Sinv = solve_stack(S[None])[0]
     M = Sinv @ B @ Sinv
     eye = np.eye(M.shape[0], dtype=np.complex128)

@@ -22,11 +22,12 @@ from .linalg import is_accretive  # noqa: F401
 
 @dataclass(frozen=True)
 class SectorCertificate:
-    """Certified sector data: half-angle alpha and real-part bounds m <= M."""
+    """Certified sector data: half-angle alpha, real-part bounds m <= M and ||A||_op."""
 
     alpha: float
     m: float
     M: float
+    norm: float
 
 
 @dataclass(frozen=True)
@@ -54,23 +55,22 @@ class EnsembleSpec:
 
 
 def certify(A) -> SectorCertificate:
-    """Full (alpha, m, M) certificate for an accretive matrix, or for each matrix of a stack.
+    """Full (alpha, m, M, norm) certificate for an accretive matrix, or for each matrix of a stack.
 
-    One eigendecomposition of Re A gives all three and the accretivity
-    test: its smallest value is that test's lambda_min, its extreme values
-    are m and M, and its vectors form (Re A)^{-1/2}.  alpha is arctan of the
-    largest |eigenvalue| of (Re A)^{-1/2} (Im A) (Re A)^{-1/2}, which is
-    exactly the smallest alpha with tan(alpha) Re A +- Im A >= 0.  For a
-    stack the fields are arrays of its leading shape, each entry the
-    matrix's own.
+    One eigendecomposition of Re A gives m, M and the accretivity test's
+    lambda_min (its extreme values) and (Re A)^{-1/2} (its vectors); the
+    test's SVD gives norm = ||A||_op.  alpha is arctan of the largest
+    |eigenvalue| of (Re A)^{-1/2} (Im A) (Re A)^{-1/2}, which is exactly the
+    smallest alpha with tan(alpha) Re A +- Im A >= 0.  For a stack the
+    fields are arrays of its leading shape, each entry the matrix's own.
     """
     A = as_stack(A)
     vals, vecs = np.linalg.eigh(hermitian(A))
-    require_accretive(A, lowest=vals[..., 0])
+    norm = require_accretive(A, lowest=vals[..., 0])
     W = vecs @ diag_matrix(vals**-0.5) @ vecs.conj().swapaxes(-1, -2)
     rho = np.abs(np.linalg.eigvalsh(hermitian(W @ imaginary_part(A) @ W))).max(axis=-1)
     alpha = np.array([math.atan(r) for r in np.ravel(rho).tolist()]).reshape(rho.shape)
-    return SectorCertificate(alpha=alpha[()], m=vals[..., 0][()], M=vals[..., -1][()])
+    return SectorCertificate(alpha=alpha[()], m=vals[..., 0][()], M=vals[..., -1][()], norm=norm)
 
 
 def sectorial_angle(A) -> float:

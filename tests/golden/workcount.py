@@ -1,14 +1,15 @@
 """Count the resolvent work of the default suite: solve_stack calls, their sum of K n^3
-and the largest batch.
+and the largest batch, and its eigh, eigvalsh, svd and qr calls.
 
 Run from the repository root, with the sample count as the optional argument:
 
     PYTHONPATH=src python tests/golden/workcount.py 5
 
-A refactor meant to do the same LAPACK work as its parent prints the same two
+A refactor meant to do the same LAPACK work as its parent prints the same
 numbers; unlike a timing, they do not depend on the load of the host.  The
 largest batch, in complex entries K n^2 of one (K, n, n) stack, shows a
-change of batching in the same way.  It also prints the sha256 of the
+change of batching in the same way, and the eigh, eigvalsh, svd and qr
+counts a change of certification work.  It also prints the sha256 of the
 report that ``amm suite --default --samples N --report FILE`` writes, so a
 byte-identical report is one command per side, and the counted lines of the
 imported package: its non-blank lines whose first non-space character is not
@@ -23,7 +24,12 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from amm import cli, funcalc, linalg, verify
+
+# the numpy.linalg entry points, other than inv, that the package calls
+LAPACK = ("eigh", "eigvalsh", "svd", "qr")
 
 
 @contextmanager
@@ -49,6 +55,30 @@ def counted_solves():
         funcalc.solve_stack, verify.solve_stack = saved
 
 
+@contextmanager
+def counted_lapack():
+    """Count, inside the block, the calls of each LAPACK entry point by its name.
+
+    Yields a dict whose values grow as the block runs.
+    """
+    tally = dict.fromkeys(LAPACK, 0)
+    saved = {name: getattr(np.linalg, name) for name in LAPACK}
+
+    def counting(name):
+        def call(*args, **kwargs):
+            tally[name] += 1
+            return saved[name](*args, **kwargs)
+        return call
+
+    for name in LAPACK:
+        setattr(np.linalg, name, counting(name))
+    try:
+        yield tally
+    finally:
+        for name, function in saved.items():
+            setattr(np.linalg, name, function)
+
+
 def counted_lines() -> dict:
     """Counted lines of each module of the imported amm package, by module name."""
     return {path.stem: sum(1 for line in path.read_text().splitlines()
@@ -57,10 +87,11 @@ def counted_lines() -> dict:
 
 
 def main(samples: int) -> None:
-    with counted_solves() as tally:
+    with counted_solves() as tally, counted_lapack() as lapack:
         reports = verify.run_suite(verify.default_suite(samples))
     print(f"{tally['calls']} solve_stack calls, sum K n^3 = {tally['work']:.3e}, "
           f"largest batch {tally['largest']} entries")
+    print("LAPACK calls: " + ", ".join(f"{name} {count}" for name, count in lapack.items()))
     # the bytes cli._cmd_suite writes for --report without --timings
     text = json.dumps(cli._report_payload(reports, with_timing=False), indent=2) + "\n"
     print(f"report sha256 {hashlib.sha256(text.encode()).hexdigest()}")

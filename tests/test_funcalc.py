@@ -85,6 +85,13 @@ class TestCatalog:
         assert catalog("power", np.float32(0.3)).param == float(np.float32(0.3))
         assert catalog("harmonic", 0.3) is not catalog("power", 0.3)
 
+    @pytest.mark.parametrize("param", ["0.5", 0.5j, [0.5], True, object()])
+    def test_non_number_param_refused(self, param):
+        # a string used to reach the range check and raise a raw TypeError
+        for name in ("power", "arithmetic", "harmonic", "uniform"):
+            with pytest.raises(ParameterError, match="must be a real number"):
+                catalog(name, param)
+
 
 class TestMonotoneFunction:
     # every MonotoneFunction checks its measure, hand-built ones included
@@ -340,6 +347,16 @@ class TestDunford:
         contour = dataclasses.replace(choose_contour(A), c=c)
         with pytest.raises(ParameterError, match="does not enclose the sector of A"):
             dunford_apply(catalog("power", 0.5), A, contour)
+
+    @pytest.mark.parametrize("A, fitted", [
+        (1e3 * np.diag([1.0, 4.0]), np.diag([1.0, 4.0])),
+        (np.diag([1.0, 4.0 + 3.0j]), np.diag([1.0, 4.0])),
+    ])
+    def test_contour_of_another_matrix_refused(self, A, fitted):
+        # dunford_apply certifies the A it is given: a contour carries no
+        # certificate, since any matrix can be passed with it
+        with pytest.raises(ParameterError, match="does not enclose the sector of A"):
+            dunford_apply(catalog("power", 0.5), A, choose_contour(fitted))
 
     def test_affine_exact(self):
         A = np.array([[2 + 1j, 0.4], [0.2, 3.0]])

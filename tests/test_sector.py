@@ -113,6 +113,24 @@ class TestCertifyReBounds:
         assert (cert.m, cert.M) == pytest.approx((1.0, 3.0))
 
 
+class TestCertifyNorm:
+    # the certificate's norm is ||A||_op from the SVD of its accretivity test
+    def test_matrix(self):
+        A = random_sectorial(spec_for(4, 1.2, count=1, seed=7), 0)
+        cert = sector.certify(A)
+        assert cert.norm == linalg.opnorm(A)
+        # a numpy scalar, like alpha, m and M
+        for value in (cert.norm, cert.alpha, cert.m, cert.M):
+            assert isinstance(value, np.floating)
+
+    def test_each_matrix_of_a_stack(self):
+        stack = random_sectorial(spec_for(3, 1.0, count=5, seed=8), range(5))
+        norms = sector.certify(stack).norm
+        assert norms.shape == (5,)
+        for A, norm in zip(stack, norms):
+            assert norm == linalg.opnorm(A)
+
+
 class TestGenerator:
     @pytest.mark.parametrize("dim,alpha", GRID)
     def test_soundness(self, dim, alpha):
