@@ -2,7 +2,7 @@
 
 The package certifies sectorial data (alpha, m, M), evaluates Kubo-Ando-style
 means and f(A) for accretive complex matrices through harmonic-mean measure
-integrals, cross-checks them against congruence and contour-integral routes,
+integrals, cross-checks them across the inversion and by contour integrals,
 and ships a named catalog of numerically verified inequalities.
 """
 

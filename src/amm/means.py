@@ -16,13 +16,14 @@ variable, is chosen there (the order by doubling from 8 until the result
 moves by at most 1e-8 relative); this module only hands a chosen plan on to
 the routes that cross-check it.  The geometric mean is evaluated along three
 routes whose mutual agreement is enforced at 1e-8: the measure integral,
-the congruence through the principal square root, and
-homogeneity, A #_lam B = 2^-lam (A #_lam 2B) (Kubo-Ando).  The homogeneity
-route integrates the pencil with its eigenvalues doubled, which moves its
-Gauss-Jacobi nodes to t = u/(2-u) in the measure route's variable, so its
-quadrature error differs from the measure route's and a too-low order shows
-as disagreement.  The congruence route checks the algebra; both run at the
-plan the measure route chose.
+the pair route, A !_t B = A ((1-t) B + t A)^{-1} B integrated on the
+un-inverted pair, and homogeneity, A #_lam B = 2^-lam (A #_lam 2B)
+(Kubo-Ando).  The homogeneity route integrates the pencil with its
+eigenvalues doubled, which moves its Gauss-Jacobi nodes to t = u/(2-u) in
+the measure route's variable, so a too-low order shows as disagreement.
+The pair route, like geometric_neg's check on the inverted pair, runs on
+the other side of the inversion from the route it checks, so an inaccurate
+A^{-1} or B^{-1} shows as disagreement.  Both run at the measure route's plan.
 """
 
 from __future__ import annotations
@@ -78,45 +79,36 @@ def sigma_mean(A, B, f: MonotoneFunction) -> np.ndarray:
     return funcalc._sigma(A, B, f.measure)[0]
 
 
-def _congruence(A, B, f: MonotoneFunction, plan=None):
-    """(S, F) = (A^{1/2}, f(A^{-1/2} B A^{-1/2})) of the congruence route.
-
-    A and B come judged by _operands.  The inner matrix is generally not
-    accretive, but its spectrum avoids (-inf, 0] whenever A and B are, so
-    the harmonic-mean integral for f still applies; a given plan is used as is.
-    """
-    S = _denman_beavers(A)
-    Sinv = solve_stack(S[None])[0]
-    M = Sinv @ B @ Sinv
-    eye = np.eye(M.shape[0], dtype=np.complex128)
-    return S, funcalc._sigma(eye, M, f.measure, plan)[0]
-
-
 def congruence_sigma(A, B, f: MonotoneFunction) -> np.ndarray:
     """A sigma_f B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}, order chosen as in sigma_mean."""
     A, B = _operands(A, B)
-    S, F = _congruence(A, B, f)
-    return S @ F @ S
+    # the inner matrix is generally not accretive, but its spectrum avoids
+    # (-inf, 0] whenever A and B are accretive, so the integral for f applies
+    S = _denman_beavers(A)
+    Sinv = solve_stack(S[None])[0]
+    eye = np.eye(A.shape[0], dtype=np.complex128)
+    return S @ funcalc._sigma(eye, Sinv @ B @ Sinv, f.measure)[0] @ S
 
 
 def geometric_paths(A, B, lam: float):
-    """The three geometric-mean evaluations (measure, congruence, homogeneity).
+    """The three geometric-mean evaluations (measure, pair, homogeneity).
 
     The measure route chooses the plan (order and scale, see
-    funcalc._integrate); the other two routes run at it.  The homogeneity
-    route is 2^-lam (A #_lam 2B) at that plan, whose nodes sit elsewhere on
-    the pencil; a scale of its own, a power of two, could undo the halving
-    and put it back on the measure route's nodes.
+    funcalc._integrate); the other two routes run at it, in one call on a
+    stack of two.  The pair route is A [integral of ((1-t) B + t A)^{-1}] B,
+    the same harmonic means on the un-inverted pair.  The homogeneity route
+    is 2^-lam (A #_lam 2B) at that plan, whose nodes sit elsewhere on the
+    pencil; a scale of its own, a power of two, could undo the halving and
+    put it back on the measure route's nodes.
     """
     f = catalog("power", lam)
     A, B = _operands(A, B)
     # the pair is inverted once, for the measure and homogeneity routes
     Ainv, Binv = solve_stack(np.stack([A, B]))
     via_measure, plan = funcalc._integrate(Ainv, Binv, f.measure, ends=(A, B))
-    # A^{1/2} B^{-1} A^{1/2}, the congruence route's pencil, is similar to A B^{-1}
-    S, F = _congruence(A, B, f, plan)
-    via_homogeneity = 2.0 ** -lam * funcalc._integrate(Ainv, Binv / 2.0, f.measure, plan)[0]
-    return via_measure, S @ F @ S, via_homogeneity
+    # the pair route's pencil has B^{-1} A, similar to the measure route's A B^{-1}
+    X = funcalc._integrate(np.stack([B, Ainv]), np.stack([A, Binv / 2.0]), f.measure, plan)[0]
+    return via_measure, A @ X[0] @ B, 2.0 ** -lam * X[1]
 
 
 def geometric_mean(A, B, lam: float) -> np.ndarray:
@@ -156,19 +148,18 @@ def geometric_neg(A, B, lam: float) -> np.ndarray:
     Evaluates the sandwiched integral
     A { sin(lam pi)/pi int t^(lam-1) (1-t)^(-lam) (A^-1 !_t B^-1) dt } A
     (where A^-1 !_t B^-1 = ((1-t) A + t B)^-1 needs no pre-inversion) and
-    cross-checks it against A^{1/2} (A^{-1/2} B A^{-1/2})^{-lam} A^{1/2}
-    within 1e-8.  The integral chooses its plan as in sigma_mean, and the
-    cross-check runs at its order and the matching scale.
+    cross-checks it within 1e-8 against the same integral on the inverted
+    pair, ((1-t) A + t B)^-1 = B^-1 ((1-t) B^-1 + t A^-1)^-1 A^-1, at the plan
+    the integral chose as in sigma_mean.
     """
     f = catalog("power", lam)
     A, B = _operands(A, B)
-    J, (order, c) = funcalc._integrate(A, B, f.measure)
+    # the pair is inverted once, for the scale and the cross-check
+    Ainv, Binv = solve_stack(np.stack([A, B]))
+    J, plan = funcalc._integrate(A, B, f.measure, ends=(Ainv, Binv))
     result = A @ J @ A
-
-    # the congruence route's pencil A^{1/2} B^{-1} A^{1/2} has the reciprocal
-    # spectrum of A^{-1} B, so its scale is 1/c
-    S, F = _congruence(A, B, f, (order, 1.0 / c))
-    other = S @ solve_stack(F[None])[0] @ S
+    # the cross-check's pencil has B A^{-1}, similar to A^{-1} B
+    other = A @ Binv @ funcalc._integrate(Binv, Ainv, f.measure, plan)[0]
     dev = funcalc._drift(result, other)
     if dev > 1e-8:
         raise NumericFailureError(f"sharp_(-lam) routes disagree by {dev:.3e}")

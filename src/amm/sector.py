@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError, integer
-from .linalg import as_stack, diag_matrix, hermitian, imaginary_part, require_accretive
+from .linalg import as_stack, diag_matrix, hermitian, require_accretive
 from .linalg import is_accretive  # noqa: F401
 
 
@@ -68,7 +68,9 @@ def certify(A) -> SectorCertificate:
     vals, vecs = np.linalg.eigh(hermitian(A))
     norm = require_accretive(A, lowest=vals[..., 0])
     W = vecs @ diag_matrix(vals**-0.5) @ vecs.conj().swapaxes(-1, -2)
-    rho = np.abs(np.linalg.eigvalsh(hermitian(W @ imaginary_part(A) @ W))).max(axis=-1)
+    # Im A of the converted array; imaginary_part would convert it again
+    Im = (A - A.conj().swapaxes(-1, -2)) / 2.0j
+    rho = np.abs(np.linalg.eigvalsh(hermitian(W @ Im @ W))).max(axis=-1)
     alpha = np.array([math.atan(r) for r in np.ravel(rho).tolist()]).reshape(rho.shape)
     return SectorCertificate(alpha=alpha[()], m=vals[..., 0][()], M=vals[..., -1][()], norm=norm)
 

@@ -207,7 +207,7 @@ class TestGeometric:
     def test_too_low_order_disagrees(self, monkeypatch):
         # every quadrature pinned to order 4: the measure route is 1.2e-4 off
         # here, and the homogeneity route, at other nodes of the pencil,
-        # must show it although the congruence route agrees to rounding; the
+        # must show it although the pair route agrees to rounding; the
         # route test is relative, so it sees the error at every scale
         converged = funcalc._converged
         monkeypatch.setattr(funcalc, "_converged",
@@ -418,8 +418,8 @@ class TestScaledPair:
         monkeypatch.setattr(funcalc, "_converged",
                             lambda compute, order=None: converged(compute, 4))
         A, B = pair(4, 1.2, 3, M=100.0)
-        via_measure, via_congruence, via_homogeneity = geometric_paths(A, 1e4 * B, 0.3)
-        assert maxabs(via_measure - via_congruence) <= 1e-12 * maxabs(via_measure)
+        via_measure, via_pair, via_homogeneity = geometric_paths(A, 1e4 * B, 0.3)
+        assert maxabs(via_measure - via_pair) <= 1e-12 * maxabs(via_measure)
         assert maxabs(via_measure - via_homogeneity) > 1e-8 * (1 + maxabs(via_measure))
 
 
@@ -478,7 +478,7 @@ class TestExtremeScale:
         assert maxabs(got - math.sqrt(c) * eye) <= 1e-14 * math.sqrt(c)
 
     def test_large_pair_is_homogeneous(self):
-        # the square root of the congruence route scales its operand first
+        # no route squares the scale: the pair route's A X B has X of size 1e-60
         spec = EnsembleSpec(dim=4, alpha_max=1.0, m=1.0, M=10.0, count=2, seed=3)
         A, B = random_sectorial(spec, 0), random_sectorial(spec, 1)
         want = 1e60 * geometric_mean(A, B, 0.5)
@@ -540,6 +540,27 @@ class TestOneInversionPath:
             monkeypatch.setattr(module, "solve_stack", recording)
         geometric_mean(A, B, 0.3)
         assert sum(np.array_equal(s, pair_stack) for s in stacks) == 1
+
+    @pytest.mark.parametrize("which", [1, 0], ids=["B_inverse", "A_inverse"])
+    @pytest.mark.parametrize("compute, message", [
+        (geometric_mean, "paths disagree"),
+        (geometric_neg, "routes disagree"),
+    ], ids=["geometric_mean", "geometric_neg"])
+    def test_bad_pair_inversion_disagrees(self, which, compute, message, monkeypatch):
+        # the cross-check runs on the other side of the inversion, so an
+        # inverse of the pair off by 1e-6 relative shows as disagreement
+        A, B = pair(4, 1.2, 3, M=10.0)
+        pair_stack, inv = np.stack([A, B]), np.linalg.inv
+
+        def skewed(stack):
+            X = inv(stack)
+            if np.array_equal(stack, pair_stack):
+                X[which] *= 1.0 + 1e-6
+            return X
+
+        monkeypatch.setattr(np.linalg, "inv", skewed)
+        with pytest.raises(NumericFailureError, match=message):
+            compute(A, B, 0.3)
 
     def test_internal_callers_skip_lu_solve(self, monkeypatch):
         # lu_solve, and inverse through it, are public only
