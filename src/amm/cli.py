@@ -101,11 +101,12 @@ def _cmd_compute(args) -> int:
 
 def _cmd_angle(args) -> int:
     A = read_matrix(args.a)
-    accretive, margin = sector.is_accretive(A)
-    if not accretive:
-        print(json.dumps({"accretive": False, "margin": margin}))
+    try:
+        cert = sector.certify(A)
+    except PreconditionError:
+        # a refusal prints the margin of is_accretive
+        print(json.dumps({"accretive": False, "margin": sector.is_accretive(A)[1]}))
         return EXIT_PRECONDITION
-    cert = sector.certify(A)
     print(json.dumps({
         "accretive": True,
         "alpha_radians": cert.alpha,

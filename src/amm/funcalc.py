@@ -7,9 +7,10 @@ measure nu_f on [0, 1] through which
 
 where I !_t A = ((1-t) I + t A^{-1})^{-1} is the weighted harmonic mean with
 the identity: f(A) = I sigma_f A.  _integrate is the one quadrature of the
-package: it integrates the resolvent ((1-t) P + t Q)^{-1} over a measure,
-which is the weighted harmonic mean P^{-1} !_t Q^{-1}, and _sigma, every
-mean of the means module and f(A) all go through it.  The measure is
+package: it integrates the resolvent ((1-t) P + t Q)^{-1}, the weighted
+harmonic mean P^{-1} !_t Q^{-1}, over a measure.  _sigma, the one entry
+point for A sigma_f B, inverts its pair once and hands it on; a caller that
+integrates a pencil of its own inverts it itself.  The measure is
 represented as point atoms plus a Jacobi-type density t^e0 (1-t)^e1 and is
 integrated by Gauss-Jacobi rules matched to the endpoint exponents, built by
 Golub-Welsch.  _integrate alone makes the plan of each integral, an order
@@ -466,9 +467,9 @@ def _integrate(P, Q, measure, plan=None, ends=None):
     every sample.  Every resolvent is summed by _resolvent_sums, its
     positions, nodes and weights one row per sample: the atoms of all
     samples in one call, and the density nodes in one call per step of the
-    doubling.  ends = (P^{-1}, Q^{-1}), when given, are the exact values of
-    an atom that lies at t = 0, or at t = 1, in every sample, which is then
-    not solved.  The density is integrated in
+    doubling.  ends = (P^{-1}, Q^{-1}), from the caller, are the exact
+    values of an atom that lies at t = 0, or at t = 1, in every sample,
+    which is then not solved.  The density is integrated in
     u = c t / (1 - t + c t), the Moebius map of [0, 1] with t = u / D and
     D = c (1-u) + u: the density t^e0 (1-t)^e1 dt becomes
     u^e0 (1-u)^e1 c^(e1+1) D^-(e0+e1+2) du and the resolvent
@@ -477,11 +478,11 @@ def _integrate(P, Q, measure, plan=None, ends=None):
     density (e0 + e1 = -1) that factor is the constant c^e1, the homogeneity
     of the mean, and u/c Q = u (Q/c) to the bit, c being a power of two.
     At c = 1 every factor is exactly 1.  Without a plan the scale c is
-    _balance's for the pencil, from ends when given and otherwise from one
-    inversion of [P, Q], and the order is the doubling's (see _converged); a
-    route that must run at the nodes of another passes that route's plan,
-    which is used as is.  Summation order is fixed: the atoms taken from
-    ends, the solved atoms, then the density nodes, each by index.
+    _balance's for the pencil and its ends, which a density then needs, and
+    the order is the doubling's (see _converged); a route that must run at
+    the nodes of another passes that route's plan, which is used as is.
+    Summation order is fixed: the atoms taken from ends, the solved atoms,
+    then the density nodes, each by index.
     Pure-atom measures are exact: they are evaluated once, unchecked, at
     order 0 and scale 1.
     """
@@ -514,8 +515,7 @@ def _integrate(P, Q, measure, plan=None, ends=None):
     # an array, so that compute's rows (a slice or an index array) select from it
     densities = np.array([m.density for m in measures], dtype=object)
     if plan is None:
-        inverses = ends if ends is not None else np.split(solve_stack(np.concatenate([P, Q])), 2)
-        order, scales = None, _balance(densities, (P, Q), inverses)
+        order, scales = None, _balance(densities, (P, Q), ends)
     else:
         order, scales = int(plan[0]), np.full(count, float(plan[1]))
 
@@ -532,24 +532,23 @@ def _integrate(P, Q, measure, plan=None, ends=None):
     return X.reshape(shape), (orders.reshape(lead), scales.reshape(lead))
 
 
-def _sigma(A: np.ndarray, B: np.ndarray, measure, plan=None):
+def _sigma(A: np.ndarray, B: np.ndarray, measure):
     """(integral of A !_t B over the measure, its plan (orders, scales)).
 
     A !_t B = ((1-t) A^{-1} + t B^{-1})^{-1}, exactly A and B at t = 0, 1:
-    _integrate on the inverted pair, with A and B as its ends, so the plan
-    is chosen there unless one is given, and comes back in its arrays.  A
-    and B are matrices or stacks of them, taken sample by sample, and
-    measure one MeasureSpec or one per sample, which agree on their atom
-    count and on carrying a density (see _integrate).  sigma_mean is this
-    at (A, B), f(A) at (I, A), and the weighted harmonic mean at a single
-    atom, one per sample for a weight drawn per sample; the suite engine
-    calls it on the stacks of an ensemble.  A and B come accretive: checked
-    by the public means and f(A), or accretive by construction in the suite
-    engine.
+    _integrate on the pair inverted once here, with A and B as its ends, so
+    the plan is chosen there and comes back in its arrays.  A and B are
+    matrices or stacks of them, taken sample by sample, and measure one
+    MeasureSpec or one per sample, which agree on their atom count and on
+    carrying a density (see _integrate).  sigma_mean is this at (A, B), f(A)
+    at (I, A), and the weighted harmonic mean at a single atom, one per
+    sample for a weight drawn per sample; the suite engine calls it on the
+    stacks of an ensemble.  A and B come accretive: checked by the public
+    means and f(A), or accretive by construction in the suite engine.
     """
     n = A.shape[-1]
     P, Q = solve_stack(np.array((A, B)).reshape(-1, n, n)).reshape(2, *A.shape)
-    return _integrate(P, Q, measure, plan, ends=(A, B))
+    return _integrate(P, Q, measure, ends=(A, B))
 
 
 def apply_function(f: MonotoneFunction, A) -> np.ndarray:

@@ -281,19 +281,20 @@ def principal_sqrt(A) -> np.ndarray:
     """Principal square root of an accretive matrix (see _denman_beavers)."""
     A = as_matrix(A)
     require_accretive(A, "principal_sqrt operand")
-    return _denman_beavers(A)
+    return _denman_beavers(A)[0]
 
 
-def _denman_beavers(A: np.ndarray) -> np.ndarray:
-    """Principal square root of a converted matrix already judged accretive, unchecked.
+def _denman_beavers(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A^{1/2}, A^{-1/2}), principal, of a converted matrix judged accretive, unchecked.
 
     Denman-Beavers iteration on A s^2, where s = 2^-k and
     k = floor(log2(max|A|)/2 + 1/2) put max|A s^2| in [1/2, 2): X0 = A s^2,
     Y0 = I, X' = (X + Y^-1)/2, Y' = (Y + X^-1)/2, stopping when the X-step
-    falls below 1e-13 * max|X| (at most 100 iterations); X/s is returned.
-    Unscaled, the step count grows like log2 sqrt(max|A|).  The result
-    satisfies max|X^2 - A| <= 1e-9 * (1 + max|A|), tested times s^2 so that
-    it cannot overflow, and has spectrum in the open right half-plane.
+    falls below 1e-13 * max|X| (at most 100 iterations).  X tends to the root
+    of A s^2 and Y to its inverse (Higham 2008, section 6.3), so (X/s, Y s)
+    is returned.  Unscaled, the step count grows like log2 sqrt(max|A|).  The
+    root satisfies max|X^2 - A| <= 1e-9 * (1 + max|A|), tested times s^2 so
+    that it cannot overflow, and has spectrum in the open right half-plane.
     """
     k = math.floor(math.log2(maxabs(A)) / 2.0 + 0.5)
     s2 = 2.0 ** (-2 * k)
@@ -312,4 +313,4 @@ def _denman_beavers(A: np.ndarray) -> np.ndarray:
         raise NumericFailureError(
             f"square-root iteration did not converge: relative residual {residual:.3e}"
         )
-    return X * 2.0 ** k
+    return X * 2.0 ** k, Y * 2.0 ** -k

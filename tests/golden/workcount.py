@@ -34,25 +34,32 @@ LAPACK = ("eigh", "eigvalsh", "svd", "qr")
 
 @contextmanager
 def counted_solves():
-    """Count, inside the block, the solve_stack calls of funcalc and verify, their sum of K n^3
+    """Count, inside the block, the solve_stack calls of the amm package, their sum of K n^3
     and their largest K n^2.
 
-    Yields a dict whose "calls", "work" and "largest" grow as the block runs.
+    Every name in an amm module that refers to linalg.solve_stack is rebound,
+    so a solve is counted whichever module makes it.  Yields a dict whose
+    "calls", "work" and "largest" grow as the block runs.
     """
     tally = {"calls": 0, "work": 0, "largest": 0}
+    solve = linalg.solve_stack
 
     def counting(stack):
         tally["calls"] += 1
         tally["work"] += stack.shape[0] * stack.shape[-1] ** 3
         tally["largest"] = max(tally["largest"], stack.size)
-        return linalg.solve_stack(stack)
+        return solve(stack)
 
-    saved = funcalc.solve_stack, verify.solve_stack
-    funcalc.solve_stack = verify.solve_stack = counting
+    bindings = [(module, attr) for name, module in list(sys.modules.items())
+                if name == "amm" or name.startswith("amm.")
+                for attr, value in list(vars(module).items()) if value is solve]
+    for module, attr in bindings:
+        setattr(module, attr, counting)
     try:
         yield tally
     finally:
-        funcalc.solve_stack, verify.solve_stack = saved
+        for module, attr in bindings:
+            setattr(module, attr, solve)
 
 
 @contextmanager

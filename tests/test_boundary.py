@@ -4,9 +4,10 @@ Counts, per call after one warm-up call (so that cached rule builds do not
 count), the linalg.as_stack conversions, the np.linalg.svd calls and the
 accretivity verdicts (linalg._accretivity) at n = 4.  A verdict or an SVD
 fewer than the pinned count is an operand left unchecked; one more is a
-check repeated below the boundary.  The geometric means are also counted
-for their square roots, integrals and inversions outside the resolvent
-kernel.
+check repeated below the boundary.  The means and f(A) are also counted
+for their inversions outside the resolvent kernel, which the caller that
+owns a pair makes and funcalc._integrate never does, and the geometric
+means for their square roots and integrals.
 """
 
 import sys
@@ -73,6 +74,60 @@ def test_calls_per_public_call(tally, name):
     assert (tally["as_stack"], tally["svd"], tally["verdicts"]) == (conversions, svds, verdicts)
 
 
+def entered(depth, key, function):
+    """function, counting in depth[key] the calls under way."""
+    def call(*args, **kwargs):
+        depth[key] += 1
+        try:
+            return function(*args, **kwargs)
+        finally:
+            depth[key] -= 1
+    return call
+
+
+def record_inversions(monkeypatch):
+    """The stacks that solve_stack inverts outside _resolvent_sums, by caller.
+
+    Returns a dict of lists: "integrate" for those inverted inside
+    funcalc._integrate, "caller" for all others.
+    """
+    depth = {"integrate": 0, "kernel": 0}
+    inverted = {"caller": [], "integrate": []}
+    solve = linalg.solve_stack
+
+    def recording(stack):
+        if not depth["kernel"]:
+            inverted["integrate" if depth["integrate"] else "caller"].append(np.array(stack))
+        return solve(stack)
+
+    replace_everywhere(monkeypatch, solve, recording)
+    monkeypatch.setattr(funcalc, "_resolvent_sums",
+                        entered(depth, "kernel", funcalc._resolvent_sums))
+    monkeypatch.setattr(funcalc, "_integrate", entered(depth, "integrate", funcalc._integrate))
+    return inverted
+
+
+# public call -> solve_stack calls outside the resolvent kernel: the pair,
+# inverted once by the caller that owns it; drury_half also inverts its
+# integral, and congruence_sigma its Denman-Beavers steps (six here)
+INVERSIONS = {
+    **{name: (CALLS[name][0], 1) for name in ("geometric_paths", "geometric_mean",
+                                              "geometric_neg", "sigma_mean", "apply_function")},
+    "harmonic_mean": (lambda: means.harmonic_mean(A, B, 0.3), 1),
+    "drury_half": (CALLS["drury_half"][0], 2),
+    "congruence_sigma": (lambda: means.congruence_sigma(A, B, HALF), 7),
+}
+
+
+@pytest.mark.parametrize("name", INVERSIONS)
+def test_caller_inverts_and_integrate_never_does(monkeypatch, name):
+    call, count = INVERSIONS[name]
+    call()
+    inverted = record_inversions(monkeypatch)
+    call()
+    assert (len(inverted["caller"]), len(inverted["integrate"])) == (count, 0)
+
+
 @pytest.mark.parametrize("name", ["geometric_paths", "geometric_mean", "geometric_neg"])
 def test_geometric_routes_run_on_the_pair(monkeypatch, name):
     # the measure route's integral and one pinned integral for the
@@ -80,26 +135,11 @@ def test_geometric_routes_run_on_the_pair(monkeypatch, name):
     # the pair [A, B] is inverted
     call = CALLS[name][0]
     call()
-    counts = {"roots": 0, "integrals": 0, "kernel": 0}
-    inverted, solve, kernel = [], linalg.solve_stack, funcalc._resolvent_sums
-
-    def recording(stack):
-        if not counts["kernel"]:
-            inverted.append(np.array(stack))
-        return solve(stack)
-
-    def in_kernel(*args):
-        counts["kernel"] += 1
-        try:
-            return kernel(*args)
-        finally:
-            counts["kernel"] -= 1
-
+    counts = {"roots": 0, "integrals": 0}
     replace_everywhere(monkeypatch, linalg._denman_beavers,
                        counting(counts, "roots", linalg._denman_beavers))
-    replace_everywhere(monkeypatch, solve, recording)
-    monkeypatch.setattr(funcalc, "_resolvent_sums", in_kernel)
+    inverted = record_inversions(monkeypatch)
     monkeypatch.setattr(funcalc, "_integrate", counting(counts, "integrals", funcalc._integrate))
     call()
     assert (counts["roots"], counts["integrals"]) == (0, 2)
-    assert len(inverted) == 1 and np.array_equal(inverted[0], np.stack([A, B]))
+    assert len(inverted["caller"]) == 1 and np.array_equal(inverted["caller"][0], np.stack([A, B]))

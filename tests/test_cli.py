@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amm import cli
+from amm import cli, linalg
 from amm.cli import main, read_matrix, write_matrix
 from amm.linalg import maxabs
 
@@ -185,8 +185,24 @@ class TestAngle:
         data = json.loads(capsys.readouterr().out)
         assert data["alpha_radians"] == pytest.approx(0.7853982, abs=1e-6)
 
-    def test_non_accretive(self, matrices):
+    def test_non_accretive(self, matrices, capsys):
         assert main(["angle", "--a", matrices["skew"]]) == 3
+        assert json.loads(capsys.readouterr().out) == {"accretive": False, "margin": 0.0}
+
+    def test_accepted_matrix_is_judged_once(self, matrices, monkeypatch, capsys):
+        # certify alone judges an accepted matrix: one verdict and one SVD
+        counts = dict.fromkeys(("verdicts", "svd"), 0)
+
+        def counting(key, function):
+            def call(*args, **kwargs):
+                counts[key] += 1
+                return function(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(linalg, "_accretivity", counting("verdicts", linalg._accretivity))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        assert main(["angle", "--a", matrices["normal"]]) == 0
+        assert counts == {"verdicts": 1, "svd": 1}
 
 
 class TestGen:

@@ -462,7 +462,8 @@ class TestAdaptiveOrder:
         f = catalog("power", 0.3)
         eye = np.eye(4, dtype=np.complex128)
         _, (_, c) = funcalc._sigma(eye, A, f.measure)
-        pinned, plan = funcalc._sigma(eye, A, f.measure, (4, c))
+        # f(A) at a pinned plan: _integrate on the inverted pair (I, A^-1)
+        pinned, plan = funcalc._integrate(eye, np.linalg.inv(A), f.measure, (4, c), ends=(eye, A))
         assert plan == (4, c)
         # unpinned, the same call chooses its own order and converges
         assert maxabs(apply_function(f, A) - pinned) > 1e-6
@@ -474,10 +475,11 @@ class TestAdaptiveOrder:
         spec = EnsembleSpec(dim=4, alpha_max=1.2, m=1.0, M=100.0, count=2, seed=3)
         A, B = random_sectorial(spec, 0), s * random_sectorial(spec, 1)
         measure = catalog("power", 0.3).measure
+        Ainv, Binv = np.linalg.inv(np.stack([A, B]))
         X, plan = funcalc._sigma(A, B, measure)
         assert (plan[1] == 1.0) == (s == 1.0)
-        assert np.array_equal(funcalc._sigma(A, B, measure, plan)[0], X)
-        Y, plan = funcalc._integrate(A, B, measure)
+        assert np.array_equal(funcalc._integrate(Ainv, Binv, measure, plan, ends=(A, B))[0], X)
+        Y, plan = funcalc._integrate(A, B, measure, ends=(Ainv, Binv))
         assert (plan[1] == 1.0) == (s == 1.0)
         assert np.array_equal(funcalc._integrate(A, B, measure, plan)[0], Y)
 
@@ -486,8 +488,8 @@ class TestAdaptiveOrder:
         # 1/(1 + t (1e12 - 1)) is all but singular at t = 0 and its second
         # 1/(1 - t (1 - 1e-12)) at t = 1, and no scale can centre a spectrum
         # 1e24 wide (the chosen one is 1): no order up to 512 integrates it.
-        # One inversion of the pencil gives the scale, and each doubling
-        # evaluates only the new order
+        # The caller's inverses give the scale, and each doubling evaluates
+        # only the new order
         batches = []
 
         def counting(stack):
@@ -500,8 +502,8 @@ class TestAdaptiveOrder:
         pencil = np.array([P, Q])
         assert funcalc._balance([measure.density], pencil, np.linalg.inv(pencil)) == 1.0
         with pytest.raises(NumericFailureError, match="not converged at order 256"):
-            funcalc._integrate(P, Q, measure)
-        assert batches == [2, 8 + 16, 32, 64, 128, 256, 512]
+            funcalc._integrate(P, Q, measure, ends=tuple(np.linalg.inv(pencil)))
+        assert batches == [8 + 16, 32, 64, 128, 256, 512]
 
     def test_node_split_memory_bounded(self, monkeypatch):
         # one n = 64 sample at order 512 is a 32 MiB stack of resolvents in

@@ -329,9 +329,10 @@ class TestAdaptiveOrder:
             return maxabs(X - Y) <= 1e-10 * (1 + maxabs(Y))
 
         def at_512(X, Y):
-            # at the scale the unpinned call chooses
+            # _sigma's integral, pinned at order 512 and the scale it chooses
             _, (_, c) = funcalc._sigma(X, Y, f.measure)
-            return funcalc._sigma(X, Y, f.measure, (512, c))[0]
+            P, Q = np.linalg.inv(np.stack([X, Y]))
+            return funcalc._integrate(P, Q, f.measure, (512, c), ends=(X, Y))[0]
 
         assert close(sigma_mean(A, B, f), at_512(A, B))
         assert close(geometric_mean(A, B, 0.3), at_512(A, B))
@@ -523,10 +524,20 @@ class TestOneKernel:
         for f in standard_catalog():
             np.testing.assert_array_equal(apply_function(f, A), sigma_mean(eye, A, f))
 
+    # the geometric mean's measure route is _sigma, as sigma_mean is
+    @pytest.mark.parametrize("dim, alpha, M", [(2, 0.0, 2.0), (4, math.pi / 3, 10.0),
+                                               (8, 1.4, 1e4)])
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    def test_geometric_mean_is_sigma_mean(self, dim, alpha, M, lam):
+        A, B = pair(dim, alpha, 22, M=M)
+        np.testing.assert_array_equal(geometric_mean(A, B, lam),
+                                      sigma_mean(A, B, catalog("power", lam)))
+
 
 class TestOneInversionPath:
     def test_geometric_mean_inverts_the_pair_once(self, monkeypatch):
-        # the measure and homogeneity routes share the inverses of [A, B]
+        # the measure route inverts [A, B] once; both check routes run on
+        # the un-inverted pair and need no inverse of their own
         from amm import funcalc
 
         A, B = pair(8, math.pi / 6, 30)
@@ -549,6 +560,21 @@ class TestOneInversionPath:
     def test_bad_pair_inversion_disagrees(self, which, compute, message, monkeypatch):
         # the cross-check runs on the other side of the inversion, so an
         # inverse of the pair off by 1e-6 relative shows as disagreement
+        A, B = self.skewed_pair(which, monkeypatch)
+        with pytest.raises(NumericFailureError, match=message):
+            compute(A, B, 0.3)
+
+    @pytest.mark.parametrize("which", [1, 0], ids=["B_inverse", "A_inverse"])
+    def test_bad_pair_inversion_moves_both_check_routes(self, which, monkeypatch):
+        # neither check route reads the pair's inverses
+        A, B = self.skewed_pair(which, monkeypatch)
+        via_measure, via_pair, via_homogeneity = geometric_paths(A, B, 0.3)
+        assert funcalc._drift(via_measure, via_pair) > 1e-8
+        assert funcalc._drift(via_measure, via_homogeneity) > 1e-8
+
+    @staticmethod
+    def skewed_pair(which, monkeypatch):
+        """An operand pair whose inversion as a stack comes back with one inverse off by 1e-6."""
         A, B = pair(4, 1.2, 3, M=10.0)
         pair_stack, inv = np.stack([A, B]), np.linalg.inv
 
@@ -559,8 +585,7 @@ class TestOneInversionPath:
             return X
 
         monkeypatch.setattr(np.linalg, "inv", skewed)
-        with pytest.raises(NumericFailureError, match=message):
-            compute(A, B, 0.3)
+        return A, B
 
     def test_internal_callers_skip_lu_solve(self, monkeypatch):
         # lu_solve, and inverse through it, are public only

@@ -418,3 +418,37 @@ class TestDefaultSuite:
         specs = {(i.spec.dim, i.spec.alpha_max): i.spec.seed for i in items}
         for item in items:
             assert specs[(item.spec.dim, item.spec.alpha_max)] == item.spec.seed
+
+
+class TestSectorFactorMutation:
+    # the sectorial checks that pass when every sec/cos factor of the
+    # per-sample context is 1, its alpha = 0 value, on the default suite's
+    # alpha = pi/3 cells at n = 2 and 3 with 20 samples, and why
+    UNCAUGHT = {
+        **dict.fromkeys(("real_superadditive", "transformer", "har_ando", "f_real_super",
+                         "sharp_real_super", "har_real_super", "inv_real", "gumus_a",
+                         "f_norm_lower"), "no sector factor in the evaluator"),
+        **dict.fromkeys(("mixed_gm", "ando_zhan"), "a factor the catalog never exercises"),
+        **dict.fromkeys(("gumus_b", "gumus_c"), "caught only at 200 samples"),
+    }
+
+    def test_flattened_factors_fail_the_other_checks(self):
+        # each check passes as it is and fails somewhere with the factors
+        # set to 1 on its own context (no module attribute is rebound)
+        items = [item for item in default_suite(samples=20)
+                 if REGISTRY[item.check].ensemble == "sectorial"
+                 and item.spec.alpha_max == math.pi / 3 and item.spec.dim in (2, 3)]
+        assert len(items) == 70
+        ensembles, caught = {}, set()
+        for item in items:
+            d = REGISTRY[item.check]
+            ens = ensembles.setdefault(item.spec, verify._Ensemble(item.spec))
+            tau = linalg.TAU_EQ if d.kind == "identity" else linalg.TAU_LOEWNER
+            c = verify._Stack(ens, item.check, item.f, item.g, item.phi, item.norm)
+            assert np.min(d.evaluate(c)) >= -tau, item.check
+            c = verify._Stack(ens, item.check, item.f, item.g, item.phi, item.norm)
+            c.cosa = c.cos2 = c.sec2 = c.cos3 = c.sec3 = np.ones(item.spec.count)
+            if np.min(d.evaluate(c)) < -tau:
+                caught.add(item.check)
+        assert len(caught) == 22
+        assert set(SECTORIAL_IDS) - caught == set(self.UNCAUGHT)
