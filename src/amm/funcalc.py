@@ -268,13 +268,13 @@ class MonotoneFunction:
 
     def __post_init__(self):
         mass = measure_mass(self.measure)
-        if abs(mass - 1.0) > 1e-10:
+        if not abs(mass - 1.0) <= 1e-10:
             raise ParameterError(f"measure mass {mass} is not 1")
         mean = measure_mean(self.measure)
-        if abs(mean - self.derivative_at_one) > 1e-10:
+        if not abs(mean - self.derivative_at_one) <= 1e-10:
             raise ParameterError(f"measure mean {mean} != f'(1) = {self.derivative_at_one}")
         f1 = complex(np.asarray(self.scalar_form(1.0 + 0.0j)).reshape(()))
-        if abs(f1 - 1.0) > 1e-12:
+        if not abs(f1 - 1.0) <= 1e-12:
             raise ParameterError(f"f(1) = {f1} violates the normalization f(1) = 1")
 
     def describe(self) -> dict:

@@ -12,17 +12,13 @@ for f(z) = z^lam reproduces the weighted geometric mean.  Every integral is
 funcalc._integrate, the one quadrature of the package, which chooses its
 plan, an order and the scale of its variable (the order by doubling from 8
 until the result moves by at most 1e-8 relative), from the pencil's
-inverses; the caller that owns a pair inverts it once.  The geometric mean
-is evaluated along three routes whose mutual agreement is enforced at
-TAU_EQ: the measure integral, the pair route,
-A !_t B = A ((1-t) B + t A)^{-1} B on the un-inverted pair, and homogeneity,
-the pair route on (A/2, B), as A #_lam B = 2^(1-lam) ((A/2) #_lam B)
-(Kubo-Ando).  The homogeneity pencil's eigenvalues are halved, which moves
-its Gauss-Jacobi nodes to t = u/(2-u) in the measure route's variable, so a
-too-low order shows as disagreement.  Both check routes run at the measure
-route's plan and, like geometric_neg's check, on the other side of the
-inversion from the route they check, so an inaccurate A^{-1} or B^{-1}
-shows as disagreement.
+inverses; the caller that owns a pair inverts it once.  The geometric
+means have one cross-check: the pair route, A !_t B = A ((1-t) B + t A)^{-1} B,
+on (2^e A, B) at the measure route's plan, whose nodes move with e
+(Kubo-Ando homogeneity), and one agreement test at TAU_EQ that refuses a
+route that is not a number.  Each check route runs on the other side of the
+pair's inversion from the route it checks, so a too-low order or an
+inaccurate A^{-1} or B^{-1} shows as disagreement.
 """
 
 from __future__ import annotations
@@ -88,41 +84,48 @@ def congruence_sigma(A, B, f: MonotoneFunction) -> np.ndarray:
     return S @ funcalc._sigma(eye, Sinv @ B @ Sinv, f.measure)[0] @ S
 
 
+def _pair_routes(X, Y, lam: float, plan, exponents):
+    """X #_lam Y as 2^(e lam) X [integral of ((1-t) Y + t 2^e X)^{-1}] Y, for each e, at plan.
+
+    (2^e X) #_lam Y = 2^(e (1-lam)) (X #_lam Y); at e != 0 the pencil's
+    eigenvalues move by 2^e, and its Gauss-Jacobi nodes off the plan's own.
+    """
+    Z = funcalc._integrate(np.stack([Y] * len(exponents)),
+                           np.stack([2.0 ** e * X for e in exponents]),
+                           catalog("power", lam).measure, plan)[0]
+    # the scale goes on before the products, which it keeps from overflowing
+    return [X @ (2.0 ** (e * lam) * Zk) @ Y for e, Zk in zip(exponents, Z)]
+
+
+def _agreed(routes, what: str) -> np.ndarray:
+    """The first route, once every two agree within TAU_EQ; a NaN route disagrees."""
+    worst = np.max([funcalc._drift(a, b) for i, a in enumerate(routes) for b in routes[i + 1:]])
+    if not worst <= TAU_EQ:
+        raise NumericFailureError(f"{what} disagree by {worst:.3e}")
+    return routes[0]
+
+
 def geometric_paths(A, B, lam: float):
     """The three geometric-mean evaluations (measure, pair, homogeneity).
 
-    The measure route, funcalc._sigma, chooses the plan (order and scale);
-    the other two run at it, in one call on a stack of two.  The pair route
-    is A [integral of ((1-t) B + t A)^{-1}] B, the same harmonic means on the
-    un-inverted pair, and the homogeneity route 2^(1-lam) ((A/2) #_lam B) is
-    it on (A/2, B), whose nodes sit elsewhere on the pencil; a scale of its
-    own, a power of two, could undo the halving and put it back on the
-    measure route's nodes.
+    The measure route, funcalc._sigma, chooses the plan; the pair route on
+    (A, B) and the homogeneity route on (A/2, B) run at it.  A scale of the
+    halved pencil's own could undo the halving and share the measure
+    route's nodes.
     """
-    f = catalog("power", lam)
+    measure = catalog("power", lam).measure
     A, B = _operands(A, B)
-    via_measure, plan = funcalc._sigma(A, B, f.measure)
-    # the pencils have B^{-1} A, similar to the measure route's A B^{-1}, and half of it
-    X = funcalc._integrate(np.stack([B, B]), np.stack([A, A / 2.0]), f.measure, plan)[0]
-    # the scale goes on before the products, which it keeps from overflowing
-    return via_measure, A @ X[0] @ B, A @ (2.0 ** -lam * X[1]) @ B
+    via_measure, plan = funcalc._sigma(A, B, measure)
+    return (via_measure, *_pair_routes(A, B, lam, plan, (0, -1)))
 
 
 def geometric_mean(A, B, lam: float) -> np.ndarray:
-    """A sharp_lam B, cross-validated along three routes.
+    """A sharp_lam B, the measure route once the three routes of geometric_paths agree.
 
-    Returns the measure-integral value; any pairwise relative deviation
-    beyond TAU_EQ among the three routes raises NumericFailureError.  The
-    measure route doubles the order until the result moves by at most 1e-8
-    and raises NumericFailureError when no order up to 512 gets there; the
-    homogeneity route, at the same order but other nodes of the pencil,
-    catches an order that settled too early.
+    A relative deviation beyond TAU_EQ, or a NaN, raises NumericFailureError,
+    as does a measure route that no order up to 512 settles.
     """
-    Pa, Pb, Pc = geometric_paths(A, B, lam)
-    worst = max(funcalc._drift(Pa, Pb), funcalc._drift(Pa, Pc), funcalc._drift(Pb, Pc))
-    if worst > TAU_EQ:
-        raise NumericFailureError(f"geometric-mean paths disagree by {worst:.3e}")
-    return Pa
+    return _agreed(geometric_paths(A, B, lam), "geometric-mean paths")
 
 
 def drury_half(A, B) -> np.ndarray:
@@ -141,27 +144,18 @@ def drury_half(A, B) -> np.ndarray:
 
 
 def geometric_neg(A, B, lam: float) -> np.ndarray:
-    """A sharp_{-lam} B for lam in (0, 1).
+    """A sharp_{-lam} B = A (A^-1 sharp_lam B^-1) A for lam in (0, 1).
 
-    Evaluates the sandwiched integral
-    A { sin(lam pi)/pi int t^(lam-1) (1-t)^(-lam) (A^-1 !_t B^-1) dt } A
-    (where A^-1 !_t B^-1 = ((1-t) A + t B)^-1 needs no pre-inversion) and
-    cross-checks it within TAU_EQ against the same integral on the inverted
-    pair, ((1-t) A + t B)^-1 = B^-1 ((1-t) B^-1 + t A^-1)^-1 A^-1, at the plan
-    the integral chose as in sigma_mean.
+    A^-1 #_lam B^-1 is the measure integral of ((1-t) A + t B)^-1, checked
+    as in geometric_mean by the homogeneity route on (2 A^-1, B^-1); the
+    halved pair's resolvents would overflow at the largest doubles.
     """
-    f = catalog("power", lam)
+    measure = catalog("power", lam).measure
     A, B = _operands(A, B)
     # the pair is inverted once, for the scale and the cross-check
     Ainv, Binv = solve_stack(np.stack([A, B]))
-    J, plan = funcalc._integrate(A, B, f.measure, ends=(Ainv, Binv))
-    result = A @ J @ A
-    # the cross-check's pencil has B A^{-1}, similar to A^{-1} B
-    other = A @ Binv @ funcalc._integrate(Binv, Ainv, f.measure, plan)[0]
-    dev = funcalc._drift(result, other)
-    if dev > TAU_EQ:
-        raise NumericFailureError(f"sharp_(-lam) routes disagree by {dev:.3e}")
-    return result
+    J, plan = funcalc._integrate(A, B, measure, ends=(Ainv, Binv))
+    return A @ _agreed((J, *_pair_routes(Ainv, Binv, lam, plan, (1,))), "sharp_(-lam) routes") @ A
 
 
 def scalar_sigma(a: complex, b: complex, f: MonotoneFunction) -> complex:

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import funcalc, linalg, sector
-from .errors import NumericFailureError, ParameterError
+from .errors import InvalidInputError, NumericFailureError, ParameterError
 from .funcalc import MeasureSpec, MonotoneFunction, catalog, scalar_eval, standard_catalog
 from .linalg import (
     NormKind,
@@ -608,9 +608,9 @@ def run_check(
 
     The check is evaluated once, over the (S, n, n) stacks of the ensemble,
     and gives one margin per sample; the report takes the least and the
-    first sample that attains it.  A margin that is not a number raises
-    NumericFailureError naming the check and the sample.  Every sec/cos
-    factor uses the per-sample certified max(alpha_A, alpha_B).
+    first sample that attains it.  A NaN margin (naming its sample) or a
+    non-finite intermediate raises NumericFailureError naming the check.
+    Every sec/cos factor uses the per-sample certified max(alpha_A, alpha_B).
     Deterministic in (spec.seed, check_id).
     """
     try:
@@ -643,7 +643,11 @@ def run_check(
     eff_spec = _effective_spec(check_id, spec)
     start = time.perf_counter()
     c = _Stack(_ensemble(eff_spec), check_id, f, g, phi, norm)
-    margins = np.asarray(d.evaluate(c), dtype=float)
+    try:
+        margins = np.asarray(d.evaluate(c), dtype=float)
+    except InvalidInputError as exc:
+        # the stacks are the ensemble's own: a non-finite matrix is an intermediate
+        raise NumericFailureError(f"check {check_id}: {exc}") from exc
     nan = np.flatnonzero(np.isnan(margins))
     if nan.size:
         raise NumericFailureError(f"check {check_id}: sample {nan[0]} has margin nan")

@@ -10,8 +10,6 @@ owns a pair makes and funcalc._integrate never does, and the geometric
 means for their square roots and integrals.
 """
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -45,19 +43,10 @@ def counting(counts, key, function):
     return call
 
 
-def replace_everywhere(monkeypatch, function, replacement):
-    """Rebind every name in the amm package that refers to function."""
-    for name, module in list(sys.modules.items()):
-        if name == "amm" or name.startswith("amm."):
-            for attr, value in list(vars(module).items()):
-                if value is function:
-                    monkeypatch.setattr(module, attr, replacement)
-
-
 @pytest.fixture
-def tally(monkeypatch):
+def tally(monkeypatch, replace_everywhere):
     counts = dict.fromkeys(("as_stack", "svd", "verdicts"), 0)
-    replace_everywhere(monkeypatch, linalg.as_stack, counting(counts, "as_stack", linalg.as_stack))
+    replace_everywhere(linalg.as_stack, counting(counts, "as_stack", linalg.as_stack))
     monkeypatch.setattr(np.linalg, "svd", counting(counts, "svd", np.linalg.svd))
     monkeypatch.setattr(linalg, "_accretivity",
                         counting(counts, "verdicts", linalg._accretivity))
@@ -85,7 +74,7 @@ def entered(depth, key, function):
     return call
 
 
-def record_inversions(monkeypatch):
+def record_inversions(monkeypatch, replace_everywhere):
     """The stacks that solve_stack inverts outside _resolvent_sums, by caller.
 
     Returns a dict of lists: "integrate" for those inverted inside
@@ -100,7 +89,7 @@ def record_inversions(monkeypatch):
             inverted["integrate" if depth["integrate"] else "caller"].append(np.array(stack))
         return solve(stack)
 
-    replace_everywhere(monkeypatch, solve, recording)
+    replace_everywhere(solve, recording)
     monkeypatch.setattr(funcalc, "_resolvent_sums",
                         entered(depth, "kernel", funcalc._resolvent_sums))
     monkeypatch.setattr(funcalc, "_integrate", entered(depth, "integrate", funcalc._integrate))
@@ -120,25 +109,24 @@ INVERSIONS = {
 
 
 @pytest.mark.parametrize("name", INVERSIONS)
-def test_caller_inverts_and_integrate_never_does(monkeypatch, name):
+def test_caller_inverts_and_integrate_never_does(monkeypatch, replace_everywhere, name):
     call, count = INVERSIONS[name]
     call()
-    inverted = record_inversions(monkeypatch)
+    inverted = record_inversions(monkeypatch, replace_everywhere)
     call()
     assert (len(inverted["caller"]), len(inverted["integrate"])) == (count, 0)
 
 
 @pytest.mark.parametrize("name", ["geometric_paths", "geometric_mean", "geometric_neg"])
-def test_geometric_routes_run_on_the_pair(monkeypatch, name):
+def test_geometric_routes_run_on_the_pair(monkeypatch, replace_everywhere, name):
     # the measure route's integral and one pinned integral for the
     # cross-checks; no square root, and outside the resolvent kernel only
     # the pair [A, B] is inverted
     call = CALLS[name][0]
     call()
     counts = {"roots": 0, "integrals": 0}
-    replace_everywhere(monkeypatch, linalg._denman_beavers,
-                       counting(counts, "roots", linalg._denman_beavers))
-    inverted = record_inversions(monkeypatch)
+    replace_everywhere(linalg._denman_beavers, counting(counts, "roots", linalg._denman_beavers))
+    inverted = record_inversions(monkeypatch, replace_everywhere)
     monkeypatch.setattr(funcalc, "_integrate", counting(counts, "integrals", funcalc._integrate))
     call()
     assert (counts["roots"], counts["integrals"]) == (0, 2)

@@ -266,6 +266,20 @@ class TestSuite:
                                       "elapsed_ms"]
         assert check["elapsed_ms"] == 0.0
 
+    def test_timings_differ_only_in_elapsed_ms(self, tmp_path):
+        cfg = suite_config(tmp_path, [
+            {"id": "inv_real", "dim": 2, "alpha_max": 0.5, "count": 10, "seed": 3},
+            {"id": "mixed_gm", "dim": 3, "alpha_max": 0.5, "count": 10, "seed": 3},
+        ])
+        plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+        assert main(["suite", "--config", cfg, "--report", str(plain)]) == 0
+        assert main(["suite", "--config", cfg, "--report", str(timed), "--timings"]) == 0
+        timed = json.loads(timed.read_text())
+        assert any(check["elapsed_ms"] > 0 for check in timed["checks"])
+        for check in timed["checks"]:
+            check["elapsed_ms"] = 0.0
+        assert json.dumps(timed, indent=2) + "\n" == plain.read_text()
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         cfg = suite_config(tmp_path, [
             {"id": "har_real_super", "dim": 3, "alpha_max": 0.7, "count": 10,
@@ -339,6 +353,17 @@ class TestSuite:
         err = capsys.readouterr().err
         assert "inv_real" in err and "sample 1" in err
         assert not report.exists()
+
+    @pytest.mark.parametrize("entry", [
+        {"id": "real_sector_reverse", "function": {"name": "power", "param": 0.5}},
+        {"id": "ando_zhan", "function": {"name": "power", "param": 0.5}, "norm": "frobenius"},
+    ], ids=["loewner", "norm"])
+    def test_non_finite_intermediate_exit_4_names_check(self, tmp_path, capsys, nan_sigma,
+                                                        entry):
+        cfg = suite_config(tmp_path, [{**entry, "dim": 2, "count": 3, "seed": 1}])
+        assert main(["suite", "--config", cfg, "--report", str(tmp_path / "r.json")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and f"check {entry['id']}:" in err
 
     def test_config_function_and_map(self, tmp_path):
         cfg = suite_config(tmp_path, [

@@ -23,7 +23,7 @@ from amm.funcalc import (
     scalar_eval,
     standard_catalog,
 )
-from amm.linalg import maxabs, opnorm, solve_stack
+from amm.linalg import maxabs, opnorm
 from amm.means import harmonic_mean
 from amm.sector import EnsembleSpec, haar_unitary, random_sectorial
 
@@ -103,7 +103,12 @@ class TestMonotoneFunction:
         (MeasureSpec(atoms=((1.0, 0.5),)), lambda z: z, 0.5, "measure mass 0.5 is not 1"),
         (IDENTITY, lambda z: 2.0 * z, 1.0, "violates the normalization"),
         (IDENTITY, lambda z: z, 0.5, r"measure mean 1.0 != f'\(1\) = 0.5"),
-    ], ids=["atom-outside", "half-mass", "f1", "mean"])
+        # a NaN passed the checks as abs(...) > tol, and f(A) was all NaN
+        (catalog("power", 0.5).measure,
+         lambda z: np.full_like(np.asarray(z, dtype=complex), np.nan), 0.5,
+         "violates the normalization"),
+        (IDENTITY, lambda z: z, float("nan"), r"measure mean 1.0 != f'\(1\) = nan"),
+    ], ids=["atom-outside", "half-mass", "f1", "mean", "nan-f1", "nan-mean"])
     def test_refused(self, measure, scalar_form, derivative, message):
         with pytest.raises(ParameterError, match=message):
             MonotoneFunction("bad", measure, scalar_form, derivative)
@@ -312,20 +317,14 @@ class TestDunford:
         assert peak < 8 * 2**20
         assert maxabs(got - want) <= 1e-10 * (1.0 + maxabs(want))
 
-    def test_node_batches_match_unsplit_sum(self, monkeypatch):
+    def test_node_batches_match_unsplit_sum(self, monkeypatch, record_solves):
         # 2048 nodes at n = 64 go to solve_stack 16 at a time (1 MiB), and
         # the sum matches the one-piece value
         spec = EnsembleSpec(dim=64, alpha_max=math.pi / 3, m=1.0, M=2.0, count=1, seed=5)
         A = random_sectorial(spec, 0)
         f = catalog("power", 0.5)
         contour = dataclasses.replace(choose_contour(A), nodes=2048)
-        batches = []
-
-        def counting(stack):
-            batches.append(len(stack))
-            return solve_stack(stack)
-
-        monkeypatch.setattr(funcalc, "solve_stack", counting)
+        batches = record_solves()
         got = dunford_apply(f, A, contour)
         assert batches == [16] * 128
         monkeypatch.setattr(funcalc, "_STACK_ENTRIES", 2048 * 64 * 64)
@@ -483,20 +482,14 @@ class TestAdaptiveOrder:
         assert (plan[1] == 1.0) == (s == 1.0)
         assert np.array_equal(funcalc._integrate(A, B, measure, plan)[0], Y)
 
-    def test_unconverged_at_max_order_raises(self, monkeypatch):
+    def test_unconverged_at_max_order_raises(self, record_solves):
         # on the pencil (I, diag(1e12, 1e-12)) the resolvent's first entry
         # 1/(1 + t (1e12 - 1)) is all but singular at t = 0 and its second
         # 1/(1 - t (1 - 1e-12)) at t = 1, and no scale can centre a spectrum
         # 1e24 wide (the chosen one is 1): no order up to 512 integrates it.
         # The caller's inverses give the scale, and each doubling evaluates
         # only the new order
-        batches = []
-
-        def counting(stack):
-            batches.append(len(stack))
-            return solve_stack(stack)
-
-        monkeypatch.setattr(funcalc, "solve_stack", counting)
+        batches = record_solves()
         P, Q = np.eye(2, dtype=np.complex128), np.diag([1e12, 1e-12]).astype(np.complex128)
         measure = catalog("power", 0.5).measure
         pencil = np.array([P, Q])
@@ -505,20 +498,14 @@ class TestAdaptiveOrder:
             funcalc._integrate(P, Q, measure, ends=tuple(np.linalg.inv(pencil)))
         assert batches == [8 + 16, 32, 64, 128, 256, 512]
 
-    def test_node_split_memory_bounded(self, monkeypatch):
+    def test_node_split_memory_bounded(self, monkeypatch, record_solves):
         # one n = 64 sample at order 512 is a 32 MiB stack of resolvents in
         # one piece; its nodes go to solve_stack 16 at a time (1 MiB), and
         # the sum matches the one-piece value
         spec = EnsembleSpec(dim=64, alpha_max=math.pi / 3, m=1.0, M=2.0, count=2, seed=5)
         P, Q = random_sectorial(spec, [0, 1])
         measure = catalog("power", 0.5).measure
-        batches = []
-
-        def counting(stack):
-            batches.append(len(stack))
-            return solve_stack(stack)
-
-        monkeypatch.setattr(funcalc, "solve_stack", counting)
+        batches = record_solves()
         tracemalloc.start()
         try:
             got, plan = funcalc._integrate(P, Q, measure, (512, 1.0))
@@ -550,7 +537,7 @@ class TestAdaptiveOrder:
                 for got, want in zip(pool.map(integrate, pencils), alone):
                     assert np.array_equal(got, want)
 
-    def test_stack_of_mixed_plans_matches_each_sample(self, monkeypatch):
+    def test_stack_of_mixed_plans_matches_each_sample(self, record_solves):
         # three samples with their own measure and scale: one settles at
         # order 128 and two at 32, at scales 1, 2^-7 and 2^12, so the nodes
         # and weights are per row and off c = 1.  The stack gives each
@@ -562,13 +549,7 @@ class TestAdaptiveOrder:
                       for k, s in enumerate((1.0, 2.0**12, 2.0**-12))])
         measures = [catalog("power", 0.3).measure, catalog("uniform").measure,
                     catalog("power", 0.7).measure]
-        batches = []
-
-        def counting(stack):
-            batches.append(len(stack))
-            return solve_stack(stack)
-
-        monkeypatch.setattr(funcalc, "solve_stack", counting)
+        batches = record_solves()
         X, (orders, scales) = funcalc._sigma(A, B, measures)
         assert orders.tolist() == [32, 128, 32]
         assert scales.tolist() == [1.0, 2.0**-7, 2.0**12]
@@ -582,19 +563,13 @@ class TestAdaptiveOrder:
 
 
 class TestResolventSums:
-    def test_per_sample_atoms_are_one_batch(self, monkeypatch):
+    def test_per_sample_atoms_are_one_batch(self, record_solves):
         # harmonic atoms at a different t in each sample are one solve of
         # the S matrices, and each sample is its own _sigma call to the bit
         spec = EnsembleSpec(dim=4, alpha_max=1.2, m=1.0, M=100.0, count=10, seed=3)
         A, B = random_sectorial(spec, range(5)), random_sectorial(spec, range(5, 10))
         measures = [MeasureSpec(atoms=((t, 1.0),)) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
-        batches = []
-
-        def counting(stack):
-            batches.append(len(stack))
-            return solve_stack(stack)
-
-        monkeypatch.setattr(funcalc, "solve_stack", counting)
+        batches = record_solves()
         X, (orders, scales) = funcalc._sigma(A, B, measures)
         # the pair's inversion, then the atoms
         assert batches == [10, 5]
@@ -602,18 +577,12 @@ class TestResolventSums:
         for k in range(5):
             assert np.array_equal(X[k], funcalc._sigma(A[k], B[k], measures[k])[0]), f"sample {k}"
 
-    def test_endpoint_atoms_take_the_ends(self, monkeypatch):
+    def test_endpoint_atoms_take_the_ends(self, record_solves):
         # an atom at 0 or 1 in every sample is the operand itself, unsolved;
         # one that lies inside (0, 1) in some sample is solved in all
         spec = EnsembleSpec(dim=3, alpha_max=1.0, m=1.0, M=10.0, count=4, seed=8)
         A, B = random_sectorial(spec, range(2)), random_sectorial(spec, range(2, 4))
-        batches = []
-
-        def counting(stack):
-            batches.append(len(stack))
-            return solve_stack(stack)
-
-        monkeypatch.setattr(funcalc, "solve_stack", counting)
+        batches = record_solves()
         measures = [MeasureSpec(atoms=((0.0, 0.25), (1.0, 0.75)))] * 2
         X, _ = funcalc._sigma(A, B, measures)
         assert np.array_equal(X, 0.25 * A + 0.75 * B)

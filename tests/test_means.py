@@ -350,19 +350,10 @@ class TestAdaptiveOrder:
         assert maxabs(N - A @ geometric_mean(inverse(A), inverse(B), 0.3) @ A) <= 1e-8 * maxabs(N)
         assert maxabs(G - geometric_mean(B, A, 0.7)) <= 1e-8 * maxabs(G)
 
-    def test_easy_operand_needs_few_solves(self, monkeypatch):
+    def test_easy_operand_needs_few_solves(self, record_solves):
         # n = 8, alpha = pi/6, M/m = 2: a fixed order 80 checked at 160
         # inverted 242 (apply_function) and 244 (sigma_mean) matrices
-        from amm import funcalc
-
-        counted = []
-
-        def counting(stack):
-            counted.append(stack.shape[0])
-            return linalg.solve_stack(stack)
-
-        monkeypatch.setattr(funcalc, "solve_stack", counting)
-        monkeypatch.setattr(means, "solve_stack", counting)
+        counted = record_solves()
         A, B = pair(8, math.pi / 6, 5)
         f = catalog("power", 0.3)
         apply_function(f, A)
@@ -422,6 +413,36 @@ class TestScaledPair:
         via_measure, via_pair, via_homogeneity = geometric_paths(A, 1e4 * B, 0.3)
         assert maxabs(via_measure - via_pair) <= 1e-12 * maxabs(via_measure)
         assert maxabs(via_measure - via_homogeneity) > 1e-8 * (1 + maxabs(via_measure))
+
+    @pytest.mark.parametrize("s", [1.0, 1e4])
+    def test_too_low_order_refuses_negative_power(self, s, monkeypatch):
+        # the check of A #_-lam B is the homogeneity route on (2 A^-1, B^-1),
+        # at other nodes of the pencil than its integral's; the inverted
+        # pair's own route sat on the same nodes and let a result 1.3e-4
+        # off through at order 4
+        converged = funcalc._converged
+        monkeypatch.setattr(funcalc, "_converged",
+                            lambda compute, order=None: converged(compute, 4))
+        A, B = pair(4, 1.2, 3, M=100.0)
+        with pytest.raises(NumericFailureError, match="routes disagree"):
+            geometric_neg(A, s * B, 0.3)
+
+
+class TestNanCheckRoute:
+    # a check route that is not a number compared false with TAU_EQ and
+    # passed; the agreement test refuses it
+    @pytest.mark.parametrize("compute", [geometric_mean, geometric_neg])
+    def test_refused(self, compute, monkeypatch):
+        integrate = funcalc._integrate
+
+        def nan_when_pinned(P, Q, measure, plan=None, ends=None):
+            X, got = integrate(P, Q, measure, plan, ends)
+            return (np.full_like(X, np.nan) if plan is not None else X), got
+
+        monkeypatch.setattr(funcalc, "_integrate", nan_when_pinned)
+        A, B = pair(4, 1.2, 3, M=10.0)
+        with pytest.raises(NumericFailureError, match="disagree by nan"):
+            compute(A, B, 0.3)
 
 
 class TestSmallResults:
@@ -535,11 +556,9 @@ class TestOneKernel:
 
 
 class TestOneInversionPath:
-    def test_geometric_mean_inverts_the_pair_once(self, monkeypatch):
+    def test_geometric_mean_inverts_the_pair_once(self, replace_everywhere):
         # the measure route inverts [A, B] once; both check routes run on
         # the un-inverted pair and need no inverse of their own
-        from amm import funcalc
-
         A, B = pair(8, math.pi / 6, 30)
         pair_stack, solve, stacks = np.stack([A, B]), linalg.solve_stack, []
 
@@ -547,8 +566,7 @@ class TestOneInversionPath:
             stacks.append(np.array(stack))
             return solve(stack)
 
-        for module in (linalg, funcalc, means):
-            monkeypatch.setattr(module, "solve_stack", recording)
+        replace_everywhere(solve, recording)
         geometric_mean(A, B, 0.3)
         assert sum(np.array_equal(s, pair_stack) for s in stacks) == 1
 

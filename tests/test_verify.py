@@ -183,6 +183,15 @@ class TestNanMargin:
                            match=f"inv_sector: sample {where[0]} has margin nan"):
             run_check("inv_sector", small_spec(count=4))
 
+    @pytest.mark.parametrize("check, norm", [("real_sector_reverse", None),
+                                             ("ando_zhan", linalg.NormKind.parse("frobenius"))],
+                             ids=["loewner", "norm"])
+    def test_non_finite_intermediate_raises(self, nan_sigma, check, norm):
+        # the Loewner test and the norm refuse a NaN matrix as invalid input;
+        # on the ensemble's own stacks it is a numeric failure of the check
+        with pytest.raises(NumericFailureError, match=f"check {check}: .*non-finite"):
+            run_check(check, small_spec(count=3), f=catalog("power", 0.5), norm=norm)
+
 
 def _suite_args(item):
     return dict(f=item.f, g=item.g, phi=item.phi, norm=item.norm)
